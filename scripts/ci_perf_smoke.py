@@ -44,6 +44,10 @@ job stays fast and robust to runner noise:
   extension is not importable the accel gate is skipped with a visible
   notice rather than silently passing.
 
+An informational row (no gate) reports the median cold compile of the
+XMark 16-query shared set, the figure behind perfbench's ``setup_s`` on
+``xmark-shared16``.
+
 Run from the repository root::
 
     python scripts/ci_perf_smoke.py
@@ -52,6 +56,7 @@ Run from the repository root::
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -523,6 +528,34 @@ def main() -> int:
           f"{plain_wall * 1000:.1f} ms, checkpointed "
           f"{ckpt_wall * 1000:.1f} ms ({overhead * 100:+.1f}% overhead) "
           "-- informational, gated in benchmarks/bench_checkpoint.py")
+
+    # --- cold compile of the XMark 16-query set (informational) -----------
+    # Mirrors the benchmark's set-up metric (perfbench setup_s on the
+    # xmark-shared16 workload): a fresh Dtd.parse, so the schema's
+    # DTD-automaton and every plan are built from scratch, then the shared
+    # engine and its first open().  Print-only, so a compile regression
+    # shows in CI logs without gating on runner speed.
+    from repro.dtd import Dtd
+    from repro.workloads.xmark import XMARK_DTD_TEXT, XMARK_QUERIES
+
+    xmark_specs = [
+        XMARK_QUERIES[f"XM{number}"] for number in (*range(1, 15), 17, 18)
+    ]
+    compile_walls = []
+    for _ in range(5):
+        started = time.perf_counter()
+        fresh = Dtd.parse(XMARK_DTD_TEXT)
+        compiled = api.Engine(
+            [api.Query.from_spec(fresh, spec) for spec in xmark_specs],
+            mode="shared",
+        )
+        compiled.open(binary=True).close()
+        compile_walls.append(time.perf_counter() - started)
+    print(f"INFO: cold compile of the XMark {len(xmark_specs)}-query shared "
+          f"set (fresh Dtd.parse + Engine + first open, median of 5): "
+          f"{statistics.median(compile_walls) * 1000:.1f} ms "
+          "-- informational, not gated; cf. perfbench setup_s on "
+          "xmark-shared16")
 
     if failures:
         print(f"{failures} perf-smoke check(s) failed")

@@ -1332,9 +1332,22 @@ static struct PyModuleDef accel_module = {
     accel_methods,
 };
 
+/* Bumped whenever a kernel's Python-visible signature or a table/state
+ * layout changes; repro.accel refuses a build whose ABI_VERSION differs
+ * from its own (a stale in-place build would otherwise fail mid-run). */
+#define REPRO_ACCEL_ABI_VERSION 1
+
 PyMODINIT_FUNC
 PyInit__accel(void)
 {
     init_name_byte();
-    return PyModule_Create(&accel_module);
+    PyObject *module = PyModule_Create(&accel_module);
+    if (module == NULL)
+        return NULL;
+    if (PyModule_AddIntConstant(module, "ABI_VERSION",
+                                REPRO_ACCEL_ABI_VERSION) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

@@ -15,6 +15,11 @@ Gating:
   benchmark ablation use this.
 * When the extension was never built (or fails to import), the loader
   silently reports it as unavailable.
+* A build whose ``ABI_VERSION`` is missing or differs from
+  :data:`ABI_VERSION` -- typically a stale in-place ``.so`` left behind by
+  an older checkout -- is reported as unavailable too, with one
+  ``RuntimeWarning`` naming the file, both versions and the rebuild
+  command, instead of failing later on a changed kernel signature.
 
 The environment variable is read lazily on first use, so test code may set
 ``REPRO_PURE`` before touching the filter entry points.
@@ -23,6 +28,11 @@ The environment variable is read lazily on first use, so test code may set
 from __future__ import annotations
 
 import os
+import warnings
+
+#: The ``repro._accel`` ABI this source tree expects
+#: (``REPRO_ACCEL_ABI_VERSION`` in ``_accel.c``).
+ABI_VERSION = 1
 
 #: Sentinel distinguishing "not probed yet" from "probed, unavailable".
 _UNSET = object()
@@ -45,8 +55,24 @@ def load_accel():
             except ImportError:
                 _module = None
             else:
-                _module = _accel
+                _module = _accel if _abi_matches(_accel) else None
     return _module
+
+
+def _abi_matches(module) -> bool:
+    found = getattr(module, "ABI_VERSION", None)
+    if found == ABI_VERSION:
+        return True
+    warnings.warn(
+        f"ignoring the repro._accel extension at "
+        f"{getattr(module, '__file__', '?')}: its ABI version is "
+        f"{'missing' if found is None else found}, this source expects "
+        f"{ABI_VERSION}; rebuild it with `python setup.py build_ext "
+        f"--inplace` (running on the pure-Python path meanwhile)",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return False
 
 
 def accel_available() -> bool:

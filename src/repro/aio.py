@@ -202,8 +202,8 @@ async def async_run(
             sink.binary = binary  # mode-agnostic sinks adopt the run's mode
     session = engine.open(binary=binary, live=live)
     if sink_list is None:
-        sink_list = [None] * len(session.handles)
-    pieces: list[list] = [[] for _ in session.handles]
+        sink_list = [None] * len(session.labels)
+    pieces: list[list] = [[] for _ in session.labels]
 
     async def dispatch(outputs: list) -> None:
         while len(pieces) < len(outputs):
@@ -237,13 +237,13 @@ async def async_run(
     empty = b"" if binary else ""
     results = [
         api.QueryResult(
-            label=handle.label,
+            label=label,
             output=empty.join(parts),
             stats=stats,
             compilation=session._compilation(index),
         )
-        for index, (handle, parts, stats) in enumerate(
-            zip(session.handles, pieces, session.stats)
+        for index, (label, parts, stats) in enumerate(
+            zip(session.labels, pieces, session.stats)
         )
     ]
     return api.EngineRun(results=results, scan_stats=session.scan_stats)
@@ -481,9 +481,7 @@ async def handle_connection(
                 return await loop.run_in_executor(None, session.finish)
         else:
             session = engine.open(binary=True)
-            labels = [
-                handle.label.encode("utf-8") for handle in session.handles
-            ]
+            labels = [label.encode("utf-8") for label in session.labels]
 
             async def feed(chunk):
                 return session.feed(chunk)

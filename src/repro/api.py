@@ -1562,19 +1562,27 @@ class Session:
             self._single = engine.plans[0].session(
                 sink=callbacks[0], binary=binary
             )
-        self.handles: list[QueryHandle] = [
-            QueryHandle(session=self, index=index, query=query, label=label)
-            for index, (query, label) in enumerate(
-                zip(engine.queries, engine.labels)
-            )
-        ]
+        #: ``(query, label)`` per handle slot.  Handles are built on demand
+        #: so the session holds no reference back to itself: a closed
+        #: session is freed by reference counting, not by the cyclic GC.
+        self._members: list[tuple[Query, str]] = list(
+            zip(engine.queries, engine.labels)
+        )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def handles(self) -> list[QueryHandle]:
+        """One :class:`QueryHandle` per query slot, in feed-output order."""
+        return [
+            QueryHandle(session=self, index=index, query=query, label=label)
+            for index, (query, label) in enumerate(self._members)
+        ]
+
+    @property
     def labels(self) -> list[str]:
-        return [handle.label for handle in self.handles]
+        return [label for _, label in self._members]
 
     @property
     def stats(self) -> list[RunStatistics]:
@@ -1680,10 +1688,9 @@ class Session:
             state = self._single.export_state()
             streams = [state]
         attached = []
-        for handle in self.handles[len(self.engine.queries):]:
-            query = handle.query
+        for query, label in self._members[len(self.engine.queries):]:
             attached.append({
-                "label": handle.label,
+                "label": label,
                 "paths": list(query.paths),
                 "backend": query.backend,
                 "add_default_paths": query.add_default_paths,
@@ -1747,7 +1754,7 @@ class Session:
         on every exit path, and returns the per-query results.
         """
         source = Source.of(source)
-        pieces: list[list] = [[] for _ in self.handles]
+        pieces: list[list] = [[] for _ in self._members]
         try:
             with source.open() as chunks:
                 for chunk in chunks:
@@ -1758,13 +1765,13 @@ class Session:
         empty = b"" if self.binary else ""
         results = [
             QueryResult(
-                label=handle.label,
+                label=label,
                 output=empty.join(parts),
                 stats=stats,
                 compilation=self._compilation(index),
             )
-            for index, (handle, parts, stats) in enumerate(
-                zip(self.handles, pieces, self.stats)
+            for index, (label, parts, stats) in enumerate(
+                zip(self.labels, pieces, self.stats)
             )
         ]
         return EngineRun(results=results, scan_stats=self.scan_stats)
@@ -1812,14 +1819,9 @@ class Session:
             label=label if label is not None else query.label,
         )
         self._sinks.append(sink_obj)
-        handle = QueryHandle(
-            session=self,
-            index=index,
-            query=query,
-            label=self._shared.labels[index],
-        )
-        self.handles.append(handle)
-        return handle
+        label = self._shared.labels[index]
+        self._members.append((query, label))
+        return QueryHandle(session=self, index=index, query=query, label=label)
 
     def detach(self, handle: QueryHandle):
         """Detach a live query; returns its pending un-taken output.

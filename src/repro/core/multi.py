@@ -100,15 +100,39 @@ def _all_keywords(tables: RuntimeTables) -> set[bytes]:
     return keywords
 
 
+#: Bound on the step programs cached on one dispatcher.  An engine's own
+#: queries fit many times over; live attaches of ever-new plans to sessions
+#: sharing the engine's dispatcher cannot grow the cache past it.
+STEP_PROGRAM_CACHE_SIZE = 256
+
+
+def _step_program(dispatcher, tables: RuntimeTables, accel_mod) -> StepProgram:
+    """The native step program of ``tables`` over ``dispatcher``'s union.
+
+    The capsule is immutable once compiled, so it is cached on the
+    (immutable) dispatcher and shared by every session that uses it.
+    """
+    cache = dispatcher.step_programs
+    entry = cache.get(id(tables))  # the entry keeps its tables (and id) alive
+    if entry is None:
+        if len(cache) >= STEP_PROGRAM_CACHE_SIZE:
+            cache.clear()
+        entry = cache[id(tables)] = (
+            tables,
+            compile_step_tables(tables, dispatcher.keywords, accel_mod),
+        )
+    return entry[1]
+
+
 class _NativeStep:
     """Cached native-stepping context of one (dispatcher, stream set) pair.
 
     Holds everything the C ``step_events`` kernel consumes per call: the
     per-stream :class:`~repro.core.runtime.StepProgram` capsules (compiled
-    once per distinct runtime-table object over the dispatcher's union
-    keyword space), the shared 16-slot-per-stream state array and the
-    reusable span output buffer.  Rebuilt whenever the dispatcher changes
-    (an attach brought new keywords) or the stream count changes.
+    once per runtime-table object and dispatcher, see
+    :func:`_step_program`), the session's 16-slot-per-stream state array and
+    the reusable span output buffer.  Rebuilt whenever the dispatcher
+    changes (an attach brought new keywords) or the stream count changes.
     """
 
     __slots__ = (
@@ -119,16 +143,10 @@ class _NativeStep:
     def __init__(self, dispatcher, prefilters, accel_mod) -> None:
         self.dispatcher = dispatcher
         self.count = len(prefilters)
-        shared: dict[int, StepProgram] = {}
-        programs: list[StepProgram] = []
-        for plan in prefilters:
-            tables = plan.tables
-            program = shared.get(id(tables))
-            if program is None:
-                program = shared[id(tables)] = compile_step_tables(
-                    tables, dispatcher.keywords, accel_mod
-                )
-            programs.append(program)
+        programs = [
+            _step_program(dispatcher, plan.tables, accel_mod)
+            for plan in prefilters
+        ]
         self.programs = programs
         self.capsules = tuple(program.capsule for program in programs)
         self.state = array("q", bytes(8 * 16 * self.count))

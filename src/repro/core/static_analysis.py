@@ -21,6 +21,18 @@ require the pair itself to satisfy condition C2 (its whole subtree is
 copied), because only then is skipping the interior matches safe.  For
 ``#``-flagged subtrees (the situation of Example 12) the two formulations
 coincide.
+
+Relevance (step 1(a)) is decided here in one pre-order pass over the
+occurrence pairs of the DTD-automaton (:class:`_RelevancePass`), not by the
+token-level :class:`~repro.projection.relevance.RelevanceChecker`: a pair's
+branch is its parent's branch plus one tag, so the branch positions every
+projection path selects extend from the parent's in O(path steps).  The
+checker stays the reference projector's literal Definition 3, and the test
+suite asserts the two agree on every occurrence pair.
+
+The DTD-automaton itself is built once per :class:`~repro.dtd.model.Dtd`
+object (:meth:`Dtd.automaton`) and shared, read-only, by every query
+compiled against that schema.
 """
 
 from __future__ import annotations
@@ -32,8 +44,7 @@ from typing import Sequence
 from repro.dtd.automaton import CLOSE, OPEN, DtdAutomaton, Symbol
 from repro.dtd.model import Dtd
 from repro.errors import CompilationError
-from repro.projection.paths import ProjectionPath, ensure_default_paths
-from repro.projection.relevance import RelevanceChecker
+from repro.projection.paths import Axis, PathStep, ProjectionPath, ensure_default_paths
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +101,6 @@ class AnalysisResult:
     dtd: Dtd
     paths: list[ProjectionPath]
     automaton: DtdAutomaton
-    checker: RelevanceChecker
     selected: set[int]
     runtime: RuntimeAutomaton
     #: DFA state -> shortest skippable prefix before any frontier token.
@@ -102,8 +112,134 @@ class AnalysisResult:
     analysis_seconds: float = 0.0
 
 
+# ----------------------------------------------------------------------
+# Step 1(a): relevance of DTD-automaton states (Definitions 3 and 5)
+# ----------------------------------------------------------------------
+class _RelevancePass:
+    """Definition 5 relevance and the C2 flag of every DTD-automaton state.
+
+    ``P+`` (the paths plus all their prefixes) is held as a trie of distinct
+    step prefixes; node 0 is the root path ``/``.  Each node is one bit of
+    two masks kept per occurrence pair:
+
+    * ``sel`` -- the prefixes that select the pair's own element (the leaf
+      of its document branch);
+    * ``seen`` -- the prefixes that select some node of the branch or the
+      virtual document node above it.
+
+    A pair's branch is its parent's plus one tag, so both masks follow from
+    the parent's: a child-axis step selects the leaf when its prefix
+    selected the parent, a descendant-axis step when its prefix selected
+    any ancestor or the document node, and in both cases its name test must
+    accept the tag.  The document node -- the parent of the root occurrence
+    -- is selected by the root path alone.  For the element of a pair with
+    parent ``p``:
+
+    * C1 holds when some non-root prefix is in its ``sel``;
+    * C2 holds when a ``#``-flagged path is in the ``sel`` of the pair or of
+      an ancestor (inherited down the tree; it is also the subtree-copy
+      flag of the action table);
+    * C3 holds when a child-axis prefix whose parent prefix is in
+      ``sel(p)`` and a descendant-axis prefix whose parent prefix is in
+      ``seen(p)`` end in the same name.  It depends on the parent alone, so
+      it is decided once per parent.  Wildcard last steps can be left out:
+      such a prefix selects every child of ``p``, so C1 already holds
+      wherever a ``*`` would make C3 hold.
+    """
+
+    def __init__(self, paths: Sequence[ProjectionPath]) -> None:
+        node_of: dict[tuple[PathStep, ...], int] = {(): 0}
+        #: Per non-root trie node: (bit, parent prefix bit, last step).
+        self._nodes: list[tuple[int, int, PathStep]] = []
+        self._flagged = 0
+        for path in paths:
+            for length in range(1, len(path.steps) + 1):
+                prefix = path.steps[:length]
+                if prefix not in node_of:
+                    node_of[prefix] = len(node_of)
+                    self._nodes.append(
+                        (1 << node_of[prefix], 1 << node_of[prefix[:-1]], prefix[-1])
+                    )
+            if path.keep_subtree and path.steps:
+                self._flagged |= 1 << node_of[path.steps]
+        # C3 side tables: concrete last-step name -> mask of the parent
+        # prefixes of the child-axis (resp. descendant-axis) prefixes
+        # ending in it.
+        self._child_last: dict[str, int] = {}
+        self._descendant_last: dict[str, int] = {}
+        for _, parent_bit, step in self._nodes:
+            if step.name == "*":
+                continue
+            side = (
+                self._child_last if step.axis is Axis.CHILD else self._descendant_last
+            )
+            side[step.name] = side.get(step.name, 0) | parent_bit
+        self._moves: dict[str, tuple[tuple[tuple[int, int], ...], ...]] = {}
+
+    def run(self, automaton: DtdAutomaton) -> tuple[dict[int, bool], dict[int, bool]]:
+        """``(relevant, keeps_subtree)`` keyed by DTD-automaton state id."""
+        relevant: dict[int, bool] = {}
+        keeps_subtree: dict[int, bool] = {automaton.initial_state: False}
+        # (sel, seen, C2, C3 of its children) per pair, pairs being numbered
+        # in pre-order; the document node heads the root occurrence.
+        document = (1, 1, False, self._c3(1, 1))
+        context: list[tuple[int, int, bool, bool]] = []
+        for pair in automaton.pairs:
+            sel_parent, seen_parent, c2_parent, c3 = (
+                document if pair.parent_pair is None else context[pair.parent_pair]
+            )
+            child_moves, descendant_moves = self._moves_for(pair.element)
+            sel = 0
+            for bit, parent_bit in child_moves:
+                if sel_parent & parent_bit:
+                    sel |= bit
+            for bit, parent_bit in descendant_moves:
+                if seen_parent & parent_bit:
+                    sel |= bit
+            seen = seen_parent | sel
+            c2 = c2_parent or bool(sel & self._flagged)
+            context.append(
+                (sel, seen, c2, self._c3(sel, seen) if pair.children else False)
+            )
+            decision = bool(sel) or c2 or c3
+            relevant[pair.open_state] = relevant[pair.close_state] = decision
+            keeps_subtree[pair.open_state] = keeps_subtree[pair.close_state] = c2
+        relevant[automaton.initial_state] = True
+        return relevant, keeps_subtree
+
+    def _moves_for(self, tag: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The ``(bit, parent prefix bit)`` of every prefix whose last name
+        test accepts ``tag``: child-axis ones, then descendant-axis ones."""
+        moves = self._moves.get(tag)
+        if moves is None:
+            child: list[tuple[int, int]] = []
+            descendant: list[tuple[int, int]] = []
+            for bit, parent_bit, step in self._nodes:
+                if step.matches_name(tag):
+                    side = child if step.axis is Axis.CHILD else descendant
+                    side.append((bit, parent_bit))
+            moves = self._moves[tag] = (tuple(child), tuple(descendant))
+        return moves
+
+    def _c3(self, sel: int, seen: int) -> bool:
+        """C3 for the children of a node with masks ``sel`` and ``seen``."""
+        return any(
+            sel & mask and seen & self._descendant_last.get(name, 0)
+            for name, mask in self._child_last.items()
+        )
+
+
 class StaticAnalyzer:
-    """Runs the Figure 6 compilation."""
+    """Runs the Figure 6 compilation.
+
+    The analyzer reads the schema's shared DTD-automaton
+    (:meth:`Dtd.automaton`, built once per ``Dtd`` object) and never
+    mutates it, so any number of analyzers over the same schema -- the
+    members of a multi-query engine, say -- pay for one automaton.
+    Relevance and the C2 subtree flag of every state come from one
+    incremental pre-order pass over its occurrence pairs
+    (:class:`_RelevancePass`).
+    """
 
     def __init__(
         self,
@@ -121,8 +257,7 @@ class StaticAnalyzer:
             raise CompilationError("at least one projection path is required")
         self.dtd = dtd
         self.paths = parsed
-        self.automaton = DtdAutomaton(dtd)
-        self.checker = RelevanceChecker(parsed, alphabet=dtd.tag_names())
+        self.automaton = dtd.automaton()
 
     # ------------------------------------------------------------------
     # Entry point
@@ -130,20 +265,15 @@ class StaticAnalyzer:
     def analyse(self) -> AnalysisResult:
         """Run the full static analysis."""
         start = time.perf_counter()
-        relevant = self._compute_relevance()
-        selected = self._select_states(relevant)
+        relevant, keeps_subtree = _RelevancePass(self.paths).run(self.automaton)
+        selected = self._select_states(relevant, keeps_subtree)
         runtime = self._determinize(self._subgraph_transitions(selected), selected)
         initial_jumps = self._compute_initial_jumps(runtime, selected)
-        keeps_subtree = {
-            state_id: self.checker.keeps_subtree(self.automaton.branch_names(state_id))
-            for state_id in range(self.automaton.state_count())
-        }
         elapsed = time.perf_counter() - start
         return AnalysisResult(
             dtd=self.dtd,
             paths=self.paths,
             automaton=self.automaton,
-            checker=self.checker,
             selected=selected,
             runtime=runtime,
             initial_jumps=initial_jumps,
@@ -153,26 +283,11 @@ class StaticAnalyzer:
         )
 
     # ------------------------------------------------------------------
-    # Step 1(a): relevance of DTD-automaton states (Definition 5)
-    # ------------------------------------------------------------------
-    def _compute_relevance(self) -> dict[int, bool]:
-        relevant: dict[int, bool] = {}
-        branch_cache: dict[int, bool] = {}
-        for pair in self.automaton.pairs:
-            branch = self.automaton.branch_names(pair.open_state)
-            decision = branch_cache.get(pair.pair_id)
-            if decision is None:
-                decision = bool(self.checker.branch_relevant(branch))
-                branch_cache[pair.pair_id] = decision
-            relevant[pair.open_state] = decision
-            relevant[pair.close_state] = decision
-        relevant[self.automaton.initial_state] = True
-        return relevant
-
-    # ------------------------------------------------------------------
     # Step 1(b) + 1(c): state selection
     # ------------------------------------------------------------------
-    def _select_states(self, relevant: dict[int, bool]) -> set[int]:
+    def _select_states(
+        self, relevant: dict[int, bool], keeps_subtree: dict[int, bool]
+    ) -> set[int]:
         selected = {
             state_id
             for state_id, is_relevant in relevant.items()
@@ -181,10 +296,7 @@ class StaticAnalyzer:
 
         # Step (b): prune the interiors of wholesale-copied subtrees.
         for pair in self.automaton.pairs:
-            if pair.open_state not in selected:
-                continue
-            branch = self.automaton.branch_names(pair.open_state)
-            if not self.checker.keeps_subtree(branch):
+            if pair.open_state not in selected or not keeps_subtree[pair.open_state]:
                 continue
             interior = self.automaton.subtree_states(pair.pair_id)
             if interior:

@@ -118,6 +118,16 @@ class DtdAutomaton:
             self.initial_state, open_symbol(dtd.root_name), self.pairs[self.root_pair].open_state
         )
         self.final_states: set[int] = {self.pairs[self.root_pair].close_state}
+        # The automaton is only read from here on; the static analysis walks
+        # this adjacency several times per compiled query.
+        self._successors: list[tuple[tuple[Symbol, int], ...]] = [
+            tuple(
+                (symbol, target)
+                for symbol, targets in by_symbol.items()
+                for target in targets
+            )
+            for by_symbol in self.transitions.values()
+        ]
 
     # ------------------------------------------------------------------
     # Construction
@@ -271,11 +281,9 @@ class DtdAutomaton:
                 for target in targets:
                     yield source, symbol, target
 
-    def successors(self, state_id: int) -> Iterator[tuple[Symbol, int]]:
-        """Yield ``(symbol, target)`` pairs for the outgoing transitions."""
-        for symbol, targets in self.transitions[state_id].items():
-            for target in targets:
-                yield symbol, target
+    def successors(self, state_id: int) -> tuple[tuple[Symbol, int], ...]:
+        """The ``(symbol, target)`` pairs of the outgoing transitions."""
+        return self._successors[state_id]
 
     def state_count(self) -> int:
         """Number of states, including ``q0``."""
@@ -283,7 +291,7 @@ class DtdAutomaton:
 
     def transition_count(self) -> int:
         """Total number of transitions."""
-        return sum(1 for _ in self.iter_transitions())
+        return sum(map(len, self._successors))
 
     # ------------------------------------------------------------------
     # Weights for initial-jump computation (table J)

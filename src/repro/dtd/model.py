@@ -16,12 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import DtdRecursionError, DtdValidationError
 from repro.dtd.ast import ContentKind, ElementDecl
 from repro.dtd.glushkov import GlushkovAutomaton, build_glushkov, minimal_child_sequence
 from repro.dtd.parser import parse_dtd_text
+
+if TYPE_CHECKING:
+    from repro.dtd.automaton import DtdAutomaton
 
 
 @dataclass
@@ -40,6 +43,12 @@ class Dtd:
     )
     _min_length_cache: dict[str, int] = field(
         default_factory=dict, repr=False, compare=False
+    )
+    _automaton: "DtdAutomaton | None" = field(
+        default=None, repr=False, compare=False
+    )
+    _prefix_pairs: tuple[tuple[str, str], ...] | None = field(
+        default=None, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------
@@ -132,19 +141,43 @@ class Dtd:
         These are the tag names that require the extra verification step of
         the runtime algorithm (the ``Abstract`` / ``AbstractText`` case).
         """
-        names = sorted(self.elements)
-        pairs: list[tuple[str, str]] = []
-        for index, short in enumerate(names):
-            for long in names[index + 1:]:
-                if long.startswith(short) and long != short:
-                    pairs.append((short, long))
-        return pairs
+        if self._prefix_pairs is None:
+            names = sorted(self.elements)
+            self._prefix_pairs = tuple(
+                (short, long)
+                for index, short in enumerate(names)
+                for long in names[index + 1:]
+                if long.startswith(short) and long != short
+            )
+        return list(self._prefix_pairs)
 
     def glushkov(self, name: str) -> GlushkovAutomaton:
         """The Glushkov automaton of element ``name``'s content model (cached)."""
         if name not in self._glushkov_cache:
             self._glushkov_cache[name] = build_glushkov(self.element(name).content)
         return self._glushkov_cache[name]
+
+    def automaton(self) -> "DtdAutomaton":
+        """The document-level DTD-automaton of this schema (built once).
+
+        The automaton is fully built by its constructor and only read
+        afterwards, so every query compiled against this ``Dtd`` object
+        shares it.  It is cached on the object, never by schema content:
+        a freshly parsed ``Dtd`` builds its own.  Racing first calls from
+        two threads may each build one; both are equivalent and read-only.
+        """
+        if self._automaton is None:
+            from repro.dtd.automaton import DtdAutomaton
+
+            self._automaton = DtdAutomaton(self)
+        return self._automaton
+
+    def __getstate__(self) -> dict:
+        # The automaton is a derived cache; workers rebuild it on demand
+        # rather than receiving it over a pipe.
+        state = dict(self.__dict__)
+        state["_automaton"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Minimal serialized lengths (for the J table)

@@ -178,6 +178,11 @@ class KeywordDispatcher:
         )
         # Lazily compiled C search structure (see :meth:`accel_capsule`).
         self._accel_capsule = None
+        #: Per-stream native step programs compiled over this union
+        #: vocabulary, shared by every session using the dispatcher.  Owned
+        #: and filled by :mod:`repro.core.multi`; id(tables) -> (tables,
+        #: program), the entry keeping its tables alive.
+        self.step_programs: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Introspection

@@ -13,9 +13,12 @@ one of three conditions holds:
   necessary "stop-over" that keeps ancestor-descendant relationships intact,
   Example 6).
 
-The same definition is applied to document tokens (by the reference
-projector) and to DTD-automaton states (by the static analysis, via
-Definition 5: a state is relevant iff the leaf of its document branch is).
+:class:`RelevanceChecker` is the literal, token-level Definition 3 used by
+the reference projector -- the oracle the SMP output is checked against.
+The static analysis does not call it: it decides Definition 5 (a
+DTD-automaton state is relevant iff the leaf of its document branch is) in
+its own incremental pass (:mod:`repro.core.static_analysis`), and the test
+suite asserts that both agree on every automaton state.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ class RelevanceChecker:
     def branch_relevant(self, branch: Sequence[str]) -> RelevanceDecision:
         """Relevance of a *tag* token whose document branch is ``branch``.
 
-        This is the form used by the static analysis (Definition 5): the leaf
+        This is the form of Definition 5 for DTD-automaton states: the leaf
         of the branch is the state's own tag.
         """
         if not branch:

@@ -8,7 +8,9 @@ shared-scan session.
 
 from __future__ import annotations
 
+import gc
 import io
+import weakref
 
 import pytest
 
@@ -531,3 +533,47 @@ class TestAttachDetach:
             session.finish()
         with pytest.raises(RuntimeFilterError):
             session.attach(medline_query)
+
+
+class TestSessionLifetime:
+    """A closed session is freed by reference counting alone."""
+
+    @pytest.mark.parametrize("mode", ["shared", "search"])
+    def test_closed_sessions_need_no_cyclic_gc(
+        self, mode, medline_query, medline_document
+    ):
+        queries = [medline_query]
+        if mode == "shared":
+            queries.append(
+                api.Query.from_spec(medline_query.dtd, MEDLINE_QUERIES["M5"])
+            )
+        engine = api.Engine(queries, mode=mode)
+        data = medline_document.encode("utf-8")
+        refs = []
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                session = engine.open(binary=True)
+                handle = session.handles[0]
+                session.feed(data)
+                session.finish()
+                assert handle.accepted and handle.stats.output_size > 0
+                inner = session._shared if mode == "shared" else session._single
+                refs += [weakref.ref(session), weakref.ref(inner)]
+                del session, handle, inner
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_attached_handle_keeps_its_session_working(self, medline_query):
+        session = api.Engine(medline_query, mode="shared").open(binary=True)
+        late = session.attach(
+            api.Query.from_spec(medline_query.dtd, MEDLINE_QUERIES["M5"]), label="late"
+        )
+        assert [handle.label for handle in session.handles] == ["M2", "late"]
+        assert late.session is session and not late.detached
+        session.detach(late)
+        assert session.handles[1].detached

@@ -18,6 +18,7 @@ import pytest
 
 from repro import SmpPrefilter
 from repro.accel import accel_available
+from repro.core import multi
 from repro.core.multi import MultiQueryEngine
 from repro.core.runtime import DELIVERIES, resolve_delivery
 from repro.matching.factory import available_backends, make_matcher
@@ -295,6 +296,40 @@ class TestMultiQueryDeliveries:
                 )
                 assert subject[3] == delivery
                 assert subject[:3] == reference[:3], (delivery, chunking)
+
+    @accel_only
+    def test_step_programs_compiled_once_per_dispatcher(
+        self, medline_corpus, monkeypatch
+    ):
+        dtd, data = medline_corpus
+        compiled = []
+        real = multi.compile_step_tables
+
+        def counting(tables, keywords, accel_mod):
+            compiled.append(tables)
+            return real(tables, keywords, accel_mod)
+
+        monkeypatch.setattr(multi, "compile_step_tables", counting)
+        specs = [MEDLINE_QUERIES[name] for name in ("M2", "M3", "M5")]
+        engine = MultiQueryEngine(dtd, specs, backend="native")
+        sessions = []
+        for _ in range(4):
+            session = engine.session(binary=True, delivery="accel")
+            outputs = session.feed(data)
+            outputs = [a + b for a, b in zip(outputs, session.finish())]
+            stats = [stats_tuple(record) for record in session.stats]
+            sessions.append((session, outputs, stats))
+        assert len(compiled) == len(specs)
+        first, others = sessions[0], sessions[1:]
+        for session, outputs, stats in others:
+            assert (outputs, stats) == first[1:]
+            for program, shared in zip(
+                session._native.programs, first[0]._native.programs
+            ):
+                assert program is shared
+            # Per-session runtime state stays per session.
+            assert session._native.state is not first[0]._native.state
+        assert len(engine.dispatcher.step_programs) == len(specs)
 
     @accel_only
     def test_native_attach_detach_mid_span_batch(self, medline_corpus):
