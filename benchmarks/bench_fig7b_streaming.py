@@ -117,11 +117,11 @@ def test_fig7b_row(benchmark, query_name, medline_document, medline_schema):
 
 #: Ingestion modes of the sweep: the str encode shim, the native byte
 #: path, and (one row, no chunking) the memory-mapped whole-file window.
-#: The delivery rows ablate the below-the-interpreter layers one by one on
-#: the 1 MiB byte path: ``pertoken`` (the generator reference), ``batched``
-#: (flat drive loop + vectorized scans), ``accel`` (batched + the C token
-#: kernel) -- all byte-identical in output, differing only in cost.
-DELIVERY_MODES = ("pertoken", "batched", "accel")
+#: The delivery rows ablate the below-the-interpreter layer on the 1 MiB
+#: byte path: ``batched`` (the pure drive loop + vectorized scans) and
+#: ``accel`` (the C token kernel) -- byte-identical in output, differing
+#: only in cost.
+DELIVERY_MODES = ("batched", "accel")
 SWEEP_CASES = tuple(
     ("str", chunk_size) for chunk_size in CHUNK_SIZES
 ) + tuple(

@@ -104,9 +104,9 @@ def _measure_workload(address, query_count):
     engine = MultiQueryEngine(workload.dtd, specs, backend="native")
 
     # Byte-identity precondition: the measured (default-delivery) pass
-    # must equal the per-token reference pass.
+    # must equal the pure reference pass.
     reference = _shared_pass(engine, stream, query_count,
-                             delivery="pertoken")
+                             delivery="batched")
     assert _shared_pass(engine, stream, query_count) == reference
 
     best = _best_of(lambda: _shared_pass(engine, stream, query_count))

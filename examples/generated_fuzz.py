@@ -69,10 +69,10 @@ def differential_by_hand(workload, query_name: str) -> None:
     plan = SmpPrefilter.cached_for_query(
         workload.dtd, workload.query(query_name), backend="native"
     )
-    reference = plan.session(binary=True, delivery="pertoken").run([stream])
+    reference = plan.session(binary=True, delivery="batched").run([stream])
     print(f"query {query_name}: reference output "
           f"{len(reference.output):,} bytes "
-          f"(pertoken, whole document)")
+          f"(batched, whole document)")
     for delivery in available_deliveries():
         for flavor in ("tiny", "midtag", "midutf8"):
             chunks = adversarial_chunks(stream, flavor)

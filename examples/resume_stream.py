@@ -69,8 +69,9 @@ def main() -> None:
               f"partial output: {os.path.getsize(out_path):,} bytes")
 
         # 3. A fresh process resumes.  Truncate the output to the size the
-        # checkpoint vouches for (a pertoken-delivery session may trail the
-        # last fed byte), restore, and re-feed from the recorded offset.
+        # checkpoint vouches for (bytes written after the last checkpoint
+        # will be emitted again), restore, and re-feed from the recorded
+        # offset.
         checkpoint = api.Checkpoint.load(ckpt_path)
         out = open(out_path, "r+b")
         out.truncate(checkpoint.output_sizes[0])

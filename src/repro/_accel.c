@@ -10,22 +10,19 @@
  *     frontier keyword is a tag keyword whose '<' appears only at offset
  *     0), false-match rejection, and the quote-aware end-of-tag scan.  The
  *     call either completes one token, suspends with an explicit resume
- *     vector (the C twin of the pure batched driver's ``_PH_*`` phases), or
+ *     vector (the C twin of the pure driver's ``_PH_*`` phases), or
  *     reports that no token exists before end of input.  Statistic deltas
  *     replay the native backend's span-approximated formulas exactly: they
  *     are computed from the absolute search origin at completion, so they
  *     are independent of how the input was chunked.
  *
- * ``scan_events``
- *     The union-automaton step of the multi-query shared scan: one sweep
- *     over the buffered window emitting flat ``(start, keyword_id,
- *     closing, flags)`` int64 events -- the occurrence stream
- *     ``pattern.finditer`` plus the extends-check and tag-end scan would
- *     produce, subscription-blind (the dynamic subscription and dispatch
- *     semantics stay in Python, where attach/detach live).
+ * ``step_events``
+ *     The multi-query shared scan: one union-keyword sweep over the
+ *     buffered window that also probes subscriptions, steps every driven
+ *     stream's Figure-4 tables and batches the decided copy spans.
  *
  * The extension is strictly optional: ``repro.core.runtime`` and
- * ``repro.core.multi`` fall back to pure-Python batched loops with the same
+ * ``repro.core.multi`` fall back to pure-Python loops with the same
  * output and statistics, which the property suite asserts.
  */
 
@@ -53,13 +50,6 @@ enum {
     ST_TOKEN = 0,
     ST_SUSPEND = 1,
     ST_NO_TOKEN = 2,
-};
-
-/* Event flags of ``scan_events``. */
-enum {
-    EV_EXTENDS = 1,   /* tag name extends the keyword: a false match */
-    EV_BACHELOR = 2,  /* the tag ends in '/>' */
-    EV_UNDECIDED = 4, /* the extends verdict needs input beyond the window */
 };
 
 /* Tag-name bytes, replicated from repro.xml.escape.is_name_byte: ASCII
@@ -486,99 +476,6 @@ accel_find_token(PyObject *Py_UNUSED(self), PyObject *args)
                          aux, quote, keep_from, tag_end, bachelor, d_searches,
                          d_comparisons, d_shifts, d_shift_total, d_matches,
                          d_local_scan);
-}
-
-static PyObject *
-accel_scan_events(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyObject *capsule;
-    Py_buffer buf, out;
-    Py_ssize_t tbase, scan_from;
-    int eof;
-    if (!PyArg_ParseTuple(args, "Oy*nnpw*", &capsule, &buf, &tbase,
-                          &scan_from, &eof, &out))
-        return NULL;
-    AccelKeywords *ak = keywords_from_capsule(capsule);
-    if (ak == NULL) {
-        PyBuffer_Release(&buf);
-        PyBuffer_Release(&out);
-        return NULL;
-    }
-    if (out.len % sizeof(int64_t) != 0) {
-        PyBuffer_Release(&buf);
-        PyBuffer_Release(&out);
-        PyErr_SetString(PyExc_ValueError,
-                        "event buffer must hold int64 items");
-        return NULL;
-    }
-    const unsigned char *text = (const unsigned char *)buf.buf;
-    Py_ssize_t wlen = buf.len;
-    int64_t *events = (int64_t *)out.buf;
-    Py_ssize_t cap = (Py_ssize_t)(out.len / (4 * sizeof(int64_t)));
-    /* No occurrence starting at or past the holdback is reported: a longer
-     * union keyword could still straddle the window end there. */
-    Py_ssize_t holdback = eof ? wlen : wlen - ak->max_len + 1;
-    Py_ssize_t p = scan_from - tbase;
-    if (p < 0)
-        p = 0;
-    Py_ssize_t count = 0;
-    int done = 1;
-    Py_ssize_t next_from = tbase + holdback;
-
-    while (p < holdback) {
-        const unsigned char *hit =
-            memchr(text + p, '<', (size_t)(wlen - p));
-        if (hit == NULL)
-            break;
-        Py_ssize_t c = hit - text;
-        if (c >= holdback)
-            break;
-        Py_ssize_t found_k = -1;
-        for (Py_ssize_t k = 0; k < ak->n; k++) {
-            Py_ssize_t len = ak->lens[k];
-            if (c + len <= wlen &&
-                memcmp(text + c, ak->kws[k], (size_t)len) == 0) {
-                found_k = k;
-                break;
-            }
-        }
-        if (found_k < 0) {
-            p = c + 1;
-            continue;
-        }
-        if (count >= cap) {
-            done = 0;
-            next_from = c + tbase;
-            break;
-        }
-        Py_ssize_t after = c + ak->lens[found_k];
-        int64_t flags = 0;
-        Py_ssize_t closing = -1;
-        if (after >= wlen && !eof) {
-            flags = EV_UNDECIDED; /* the extends verdict needs more input */
-        }
-        else if (after < wlen && name_byte[text[after]]) {
-            flags = EV_EXTENDS; /* false match for every subscriber */
-        }
-        else {
-            int suspend_quote;
-            Py_ssize_t suspend_cursor;
-            closing = scan_tag_end(text, after, wlen,
-                                   &suspend_quote, &suspend_cursor);
-            if (closing > after && text[closing - 1] == '/')
-                flags |= EV_BACHELOR;
-        }
-        events[4 * count] = (int64_t)(c + tbase);
-        events[4 * count + 1] = (int64_t)ak->ids[found_k];
-        events[4 * count + 2] = closing < 0 ? -1 : (int64_t)(closing + tbase);
-        events[4 * count + 3] = flags;
-        count += 1;
-        p = after; /* the union scan is non-overlapping (finditer) */
-    }
-
-    PyBuffer_Release(&buf);
-    PyBuffer_Release(&out);
-    return Py_BuildValue("(nni)", count, next_from, done);
 }
 
 /* ====================================================================
@@ -1272,7 +1169,7 @@ static PyMethodDef accel_methods[] = {
      "compile_keywords(keywords, is_single) -> capsule\n\n"
      "Compile a sequence of non-empty bytes keywords (tag keywords: '<'\n"
      "only at offset 0) into the C search structure used by find_token\n"
-     "and scan_events.  Keyword ids are the original sequence indices."},
+     "and step_events.  Keyword ids are the original sequence indices."},
     {"find_token", accel_find_token, METH_VARARGS,
      "find_token(capsule, buf, tbase, wend, eof, phase, begin, pos, kwi,\n"
      "           aux, quote)\n"
@@ -1285,14 +1182,6 @@ static PyMethodDef accel_methods[] = {
      "1 = suspended (resume vector in phase..quote), 2 = no token before\n"
      "end of input.  The d_* fields are statistic deltas replaying the\n"
      "native backend formulas."},
-    {"scan_events", accel_scan_events, METH_VARARGS,
-     "scan_events(capsule, buf, tbase, scan_from, eof, out)\n"
-     "-> (count, next_from, done)\n\n"
-     "Union-scan one window into flat int64 events of 4 fields each:\n"
-     "(start, keyword_id, closing_or_minus1, flags) with flags 1=extends\n"
-     "(false match), 2=bachelor, 4=undecided.  Writes into the int64\n"
-     "buffer 'out' (capacity len(out)//4 events); done=0 means the\n"
-     "buffer filled and the scan should continue from next_from."},
     {"compile_step", accel_compile_step, METH_VARARGS,
      "compile_step(next, action, tagid, cellflags, b_next, jump, final,\n"
      "             S, K) -> capsule\n\n"
@@ -1335,7 +1224,7 @@ static struct PyModuleDef accel_module = {
 /* Bumped whenever a kernel's Python-visible signature or a table/state
  * layout changes; repro.accel refuses a build whose ABI_VERSION differs
  * from its own (a stale in-place build would otherwise fail mid-run). */
-#define REPRO_ACCEL_ABI_VERSION 1
+#define REPRO_ACCEL_ABI_VERSION 2
 
 PyMODINIT_FUNC
 PyInit__accel(void)

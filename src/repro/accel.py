@@ -2,11 +2,12 @@
 
 The hot kernels of the SMP runtime -- per-state token location (frontier
 search, false-match rejection, quote-aware end-of-tag scan) and the
-multi-query union scan -- have a C implementation in ``src/repro/_accel.c``,
-built best-effort by ``setup.py`` (``python setup.py build_ext --inplace``).
+multi-query shared scan with its per-query stepping -- have a C
+implementation in ``src/repro/_accel.c``, built best-effort by
+``setup.py`` (``python setup.py build_ext --inplace``).
 The extension is strictly optional: every execution path has a pure-Python
-batched implementation with byte-identical output *and* statistics, which
-the property suite asserts.
+implementation with byte-identical output *and* statistics, which the
+property suite asserts.
 
 Gating:
 
@@ -32,7 +33,7 @@ import warnings
 
 #: The ``repro._accel`` ABI this source tree expects
 #: (``REPRO_ACCEL_ABI_VERSION`` in ``_accel.c``).
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 #: Sentinel distinguishing "not probed yet" from "probed, unavailable".
 _UNSET = object()

@@ -1668,12 +1668,9 @@ class Session:
         set, re-feed the input from :attr:`Checkpoint.input_offset` on, and
         output and statistics are byte-identical to an uninterrupted run.
 
-        Checkpoints are taken at chunk boundaries (between ``feed`` calls);
-        under ``delivery="pertoken"`` the captured state may trail the last
-        fed byte, in which case :attr:`Checkpoint.input_offset` and
-        :attr:`Checkpoint.output_sizes` point the resume driver at the
-        exact replay position.  A finished or closed session cannot be
-        checkpointed (:class:`~repro.errors.CheckpointError`).
+        Checkpoints are taken at chunk boundaries (between ``feed`` calls)
+        and capture the state exactly as of the last fed byte.  A finished
+        or closed session cannot be checkpointed (:class:`~repro.errors.CheckpointError`).
         """
         if self._closed or self.finished:
             raise CheckpointError(

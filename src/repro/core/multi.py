@@ -242,9 +242,9 @@ class MultiQueryEngine:
         per-feed return values are then empty for those queries.  With
         ``binary=True`` every output channel carries raw projected bytes.
         ``delivery`` selects the union-scan delivery mode (see
-        :data:`repro.core.runtime.DELIVERIES`): ``"accel"`` runs the scan
-        through the optional C kernel, anything else the pure batched
-        loop; both are byte-identical in output and statistics.
+        :data:`repro.core.runtime.DELIVERIES`): ``"accel"`` runs scan and
+        stepping in the optional C kernel, ``"batched"`` the pure loop;
+        both are byte-identical in output and statistics.
         """
         return MultiQuerySession(
             self, sinks=sinks, binary=binary, delivery=delivery
@@ -338,31 +338,21 @@ class MultiQuerySession:
         #: (old, new) vocabulary tuples -> (removals, additions); transitions
         #: cycle through few distinct state pairs, so diffs are computed once.
         self._diff_cache: dict[tuple, tuple[tuple[bytes, ...], tuple[bytes, ...]]] = {}
-        # Delivery tiers of the shared scan (all byte-identical in output
-        # and counters): "pertoken" keeps everything in Python (the
-        # reference loop), "batched" runs the union sweep through the C
-        # scan kernel with per-event dispatch in Python, and "accel" also
+        # Delivery of the shared scan (byte-identical in output and
+        # counters): "batched" runs the pure union-pattern loop, "accel"
         # steps the driven streams natively (scan + dispatch + transition
         # + span emission in one C loop).
         self._mode = resolve_delivery(delivery)
-        self._accel = load_accel() if self._mode != "pertoken" else None
+        self._accel = load_accel() if self._mode == "accel" else None
         if delivery == "accel" and self._accel is None:
             self.scan_stats.accel_degraded = 1
-        self._native_ok = (
-            self._mode == "accel"
-            and self._accel is not None
-            and hasattr(self._accel, "step_events")
-        )
         self._native: _NativeStep | None = None
-        self._events: array | None = None  # reusable flat C event buffer
         for index in range(len(self._streams)):
             self._resubscribe(index)
 
     @property
     def delivery(self) -> str:
         """The effective delivery mode of the shared union scan."""
-        if self._accel is None:
-            return "pertoken" if self._mode == "pertoken" else "batched"
         return self._mode
 
     # ------------------------------------------------------------------
@@ -659,7 +649,8 @@ class MultiQuerySession:
     def _process(self) -> None:
         """One union-automaton pass over the new window content.
 
-        Per scanned occurrence: one subscription probe; for subscribed hits
+        Runs :meth:`_process_native` when the C extension is loaded, else
+        :meth:`_process_pure`.  Per scanned occurrence: one subscription probe; for subscribed hits
         a validity check (one character), the shared end-of-tag scan (one
         C-level ``find`` plus two short quote probes on the fast path) and
         the dispatch to the subscribed streams; co-located prefix keywords
@@ -668,14 +659,9 @@ class MultiQuerySession:
         decision needs input beyond the buffered window.
         """
         if self._accel is not None:
-            capsule = self._dispatcher.accel_capsule(self._accel)
-            if capsule is not None:
-                if self._native_ok:
-                    self._process_native(capsule)
-                else:
-                    self._process_accel(capsule)
-                return
-        self._process_pure()
+            self._process_native(self._dispatcher.accel_capsule(self._accel))
+        else:
+            self._process_pure()
 
     def _process_native(self, capsule) -> None:
         """The fully native pass: scan, dispatch and stepping in one C loop.
@@ -689,7 +675,7 @@ class MultiQuerySession:
         ``import_native``); subscriptions are refreshed once per call
         rather than per transition, which is safe because the kernel
         performs the equivalent vocabulary probe on its own tables.  The
-        kernel bails back to :meth:`_process_accel` for the rare event it
+        kernel bails back to :meth:`_process_pure` for the rare event it
         cannot settle (a transition error), which replays it in Python and
         raises the identical diagnostics.
         """
@@ -768,107 +754,10 @@ class MultiQuerySession:
         # the Python path replays it with full registry order and raises
         # the identical transition error.
         self._scan_from = next_from
-        self._process_accel(capsule)
-
-    def _process_accel(self, capsule) -> None:
-        """The :meth:`_process_pure` pass with the scan sweep done in C.
-
-        ``repro._accel.scan_events`` performs the occurrence sweep, the
-        extends-check and the end-of-tag scan subscription-blind, filling a
-        reusable flat int64 event array; this loop keeps everything dynamic
-        -- subscription probes, dispatch, resubscription, prefix expansion
-        -- in Python, processing events in the same order and with the
-        same early-return points as the pure loop.
-        """
-        window = self._window
-        streams = self._streams
-        subscribers = self._subscribers
-        dispatcher = self._dispatcher
-        keywords = dispatcher.keywords
-        keyword_lengths = dispatcher.keyword_lengths
-        prefix_lists = dispatcher.prefixes_by_index
-        get_subscribed = subscribers.get
-        resubscribe = self._resubscribe
-        scan_stats = self.scan_stats
-        text, base = window.view()
-        eof = window.eof
-        length = len(text)
-        holdback = length if eof else length - dispatcher.max_keyword_length + 1
-        if self._scan_from - base >= holdback:
-            return
-        scanned_from = self._scan_from
-        events = self._events
-        if events is None:
-            events = self._events = array("q", bytes(8 * 4 * 512))
-        scan_events = self._accel.scan_events
-        position = self._scan_from
-        tokens = 0
-        try:
-            while True:
-                count, next_from, done = scan_events(
-                    capsule, text, base, position, eof, events
-                )
-                for cursor in range(0, 4 * count, 4):
-                    keyword_id = events[cursor + 1]
-                    keyword = keywords[keyword_id]
-                    subscribed = get_subscribed(keyword)
-                    if subscribed:
-                        start = events[cursor]
-                        flags = events[cursor + 3]
-                        if flags & 4:
-                            # The extends verdict needs input beyond the
-                            # window.
-                            self._scan_from = start
-                            scan_stats.char_comparisons += start - scanned_from
-                            return
-                        if flags & 1:
-                            # False match: the tag name extends the keyword.
-                            for owner in subscribed:
-                                streams[owner].push_false_match(keyword, start)
-                        elif (closing := events[cursor + 2]) < 0:
-                            if eof:
-                                raise RuntimeFilterError(
-                                    f"tag starting at offset {start} is never "
-                                    "closed; the document is not well formed"
-                                )
-                            self._scan_from = start
-                            scan_stats.char_comparisons += start - scanned_from
-                            return
-                        else:
-                            tokens += 1
-                            scan_chars = (
-                                closing - (start + keyword_lengths[keyword_id]) + 1
-                            )
-                            bachelor = flags & 2
-                            changed = [
-                                owner for owner in subscribed
-                                if streams[owner].push_token(
-                                    keyword, start, closing, bachelor,
-                                    scan_chars,
-                                )
-                            ]
-                            for owner in changed:
-                                resubscribe(owner)
-                        prefixes = prefix_lists[keyword_id]
-                    elif not (prefixes := prefix_lists[keyword_id]):
-                        continue
-                    else:
-                        start = events[cursor]
-                    for prefix in prefixes:
-                        prefix_subscribed = get_subscribed(prefix)
-                        if prefix_subscribed:
-                            for owner in prefix_subscribed:
-                                streams[owner].push_false_match(prefix, start)
-                if done:
-                    break
-                position = next_from  # the event buffer filled: keep sweeping
-            self._scan_from = base + holdback
-            scan_stats.char_comparisons += self._scan_from - scanned_from
-        finally:
-            scan_stats.tokens_matched += tokens
+        self._process_pure()
 
     def _process_pure(self) -> None:
-        """Pure-Python union scan (the reference of :meth:`_process_accel`)."""
+        """Pure-Python union scan (the reference of :meth:`_process_native`)."""
         window = self._window
         streams = self._streams
         subscribers = self._subscribers

@@ -211,8 +211,10 @@ class SmpPrefilter:
         keeps the output channel as raw projected bytes (the byte-native
         path); the default text mode decodes the emitted bytes -- and only
         those -- incrementally.  ``delivery`` selects the token-event
-        delivery mode (see :data:`repro.core.runtime.DELIVERIES`); the
-        default picks the fastest available path.
+        delivery mode (see :data:`repro.core.runtime.DELIVERIES`): the
+        default picks the native ``"accel"`` path when the C extension is
+        built and the pure ``"batched"`` reference otherwise; both are
+        byte-identical in output and statistics.
         """
         return FilterSession(self, sink=sink, binary=binary, delivery=delivery)
 

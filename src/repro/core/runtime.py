@@ -50,7 +50,6 @@ inside comments or CDATA sections (character data must escape ``<``).
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from array import array
@@ -78,26 +77,19 @@ OutputSink = Callable[[str], None]
 ByteOutputSink = Callable[[bytes], None]
 AnySink = Union[OutputSink, ByteOutputSink]
 
-#: Byte values of the structural characters the local scans compare.
-_GT = 0x3E        # '>'
-_SLASH = 0x2F     # '/'
-_DQUOTE = 0x22    # '"'
-_SQUOTE = 0x27    # "'"
-#: Quote byte value -> one-byte needle for the cursor's C-level ``find``.
-_QUOTE_NEEDLES = {_DQUOTE: b'"', _SQUOTE: b"'"}
+#: Byte value of the '/' that marks a bachelor tag (``.../>``).
+_SLASH = 0x2F
 
 #: Token-event delivery modes of :class:`RuntimeStream`:
 #:
-#: * ``"batched"`` -- the flat explicit-state drive loop: one tight Python
-#:   loop per fed window instead of one generator round-trip per token.
-#:   Issues the *identical* matcher ``find_chunk`` call sequence as the
-#:   per-token path, so output and every statistic are byte-identical.
-#: * ``"accel"`` -- the batched loop with the per-state token kernel of the
+#: * ``"batched"`` -- the pure-Python reference: one explicit-state drive
+#:   loop per fed window over the matchers' resumable ``find_chunk``
+#:   contract (any backend).
+#: * ``"accel"`` -- the same loop with the per-state token kernel of the
 #:   optional ``repro._accel`` C extension (``"native"`` backend only;
-#:   other backends fall back to the pure batched loop per state).
-#: * ``"pertoken"`` -- the legacy generator machine, kept as the reference
-#:   implementation the property suite compares against.
-DELIVERIES = ("batched", "accel", "pertoken")
+#:   other backends run the pure loop).  Output and every statistic are
+#:   byte-identical to ``"batched"``.
+DELIVERIES = ("batched", "accel")
 
 
 #: Once-per-process latch of the explicit-``"accel"``-unavailable warning:
@@ -137,24 +129,9 @@ def resolve_delivery(delivery: "str | None") -> str:
     degrade emits a once-per-process :class:`RuntimeWarning` and is
     recorded on the run's :class:`~repro.core.stats.RunStatistics` as
     ``accel_degraded`` by the stream that resolves it.
-
-    When no delivery is requested in code, the ``REPRO_DELIVERY``
-    environment variable (``pertoken`` / ``batched`` / ``accel``) forces
-    one -- mirroring ``REPRO_PURE`` -- so benchmarks and CI legs can pin
-    a delivery without code changes.  A bogus value raises
-    :class:`ValueError` naming the variable.
     """
     if delivery is None:
-        forced = os.environ.get("REPRO_DELIVERY")
-        if forced is not None and forced != "":
-            if forced not in DELIVERIES:
-                raise ValueError(
-                    f"REPRO_DELIVERY={forced!r} is not a delivery; "
-                    f"expected one of {DELIVERIES}"
-                )
-            delivery = forced
-        else:
-            return "accel" if load_accel() is not None else "batched"
+        return "accel" if load_accel() is not None else "batched"
     if delivery not in DELIVERIES:
         raise ValueError(
             f"unknown delivery {delivery!r}; expected one of {DELIVERIES}"
@@ -165,8 +142,8 @@ def resolve_delivery(delivery: "str | None") -> str:
     return delivery
 
 
-#: Resume phases of the batched drive loop (what the generator machine keeps
-#: in its frame, kept explicitly so a window's tokens run without yields).
+#: Resume phases of the drive loop: where a suspended token stopped, so the
+#: next fed window resumes it exactly.
 _PH_TOKEN = 0    # top of the token loop: wait-for-input, jump, new search
 _PH_SEARCH = 1   # frontier search in progress (``_pending`` may be set)
 _PH_VERIFY = 2   # match found, awaiting the byte after the keyword
@@ -227,16 +204,6 @@ def _thaw_pending(value) -> "PendingSearch | None":
         keep_from=int(value["keep_from"]),
         state=_thaw_state_value(value["state"]),
     )
-
-
-class _MatchedTag(NamedTuple):
-    """A tag located in the input by the frontier search."""
-
-    keyword: bytes
-    symbol: Symbol
-    start: int          # byte offset of '<'
-    end: int            # byte offset of the final '>'
-    is_bachelor: bool
 
 
 class SmpRuntime:
@@ -307,8 +274,8 @@ class SmpRuntime:
         verbatim; the default text mode decodes the emitted bytes
         incrementally (and only those).  ``delivery`` selects the
         token-event delivery mode (see :data:`DELIVERIES`); the default
-        picks the fastest available path, which is byte-identical in
-        output and statistics to the per-token reference.
+        picks the native path when available, which is byte-identical in
+        output and statistics to the pure ``"batched"`` reference.
         """
         return RuntimeStream(self, sink=sink, binary=binary, delivery=delivery)
 
@@ -421,14 +388,13 @@ class _FilterStreamBase:
     # ------------------------------------------------------------------
     # Checkpoint plumbing shared by both stream kinds
     # ------------------------------------------------------------------
-    def _export_common(self, carry_low: "int | None" = None,
-                       *, with_window: bool = True) -> dict:
+    def _export_common(self, *, with_window: bool = True) -> dict:
         """The output-channel / copy-region / statistics part of a snapshot.
 
-        ``carry_low`` bounds the carry-over bytes captured from the window
-        (default: everything the window retains); ``with_window=False``
-        omits the window entirely (driven streams share the session's
-        window, which is snapshotted once at session level).
+        The carry-over bytes the window retains are captured with it;
+        ``with_window=False`` omits the window entirely (driven streams
+        share the session's window, which is snapshotted once at session
+        level).
         """
         window = self._window
         snapshot = {
@@ -446,8 +412,6 @@ class _FilterStreamBase:
         }
         if with_window:
             low = window.base
-            if carry_low is not None:
-                low = max(window.base, min(carry_low, window.end))
             snapshot["window"] = {
                 "base": low,
                 "data": window.slice(low, window.end) if window.end > low else b"",
@@ -484,78 +448,34 @@ class _FilterStreamBase:
     # ------------------------------------------------------------------
     # Transitions and actions
     # ------------------------------------------------------------------
-    def _transition(self, state: int, matched: _MatchedTag) -> int:
-        """Take the transition for ``matched`` and apply its actions."""
-        tables = self._tables
-        if matched.is_bachelor:
-            # Opening and closing behaviour one after the other (Figure 4).
-            kind, tag = matched.symbol
-            open_state = tables.A(state, (OPEN, tag))
-            if open_state is None:
-                raise self._transition_error(state, (OPEN, tag), matched.start)
-            close_state = tables.A(open_state, (CLOSE, tag))
-            if close_state is None:
-                raise self._transition_error(open_state, (CLOSE, tag), matched.start)
-            self._apply_bachelor_actions(
-                matched, tables.T(open_state), tables.T(close_state)
-            )
-            return close_state
-        next_state = tables.A(state, matched.symbol)
-        if next_state is None:
-            raise self._transition_error(state, matched.symbol, matched.start)
-        self._apply_action(matched, tables.T(next_state))
-        return next_state
+    def _bachelor_transition(
+        self, state: int, tag: str, start: int, end: int
+    ) -> int:
+        """Take a bachelor tag ``<tag .../>`` spanning ``[start, end]``.
 
-    def _apply_action(self, matched: _MatchedTag, action: Action) -> None:
-        window = self._window
-        stats = self.stats
-        kind, tag = matched.symbol
-        if action is Action.COPY_ON:
-            if not self._copy_active:
-                self._copy_active = True
-                self._copy_tag = tag
-                self._copy_emitted = matched.start
-            return
-        if action is Action.COPY_OFF:
-            if self._copy_active and tag == self._copy_tag:
-                self._emit(window.slice(self._copy_emitted, matched.end + 1))
-                stats.regions_copied += 1
-                stats.tokens_copied += 1
-                self._copy_active = False
-                self._copy_tag = ""
-                self._copy_emitted = 0
-                return
-            if not self._copy_active:
-                # Asymmetric table entries can occur after determinisation;
-                # degrade gracefully to copying the closing tag itself.
-                self._emit(window.slice(matched.start, matched.end + 1))
-                stats.tokens_copied += 1
-            return
-        if action is Action.COPY_TAG:
-            if not self._copy_active:
-                self._emit(window.slice(matched.start, matched.end + 1))
-                stats.tokens_copied += 1
-
-    def _apply_bachelor_actions(
-        self, matched: _MatchedTag, open_action: Action, close_action: Action
-    ) -> None:
-        """Apply the opening and closing actions of a bachelor tag.
-
-        The bachelor tag is emitted at most once: a (copy on, copy off) pair
-        degenerates to copying the tag, and a copy-tag action on either side
-        also copies the tag.
+        Opening and closing behaviour run one after the other (Figure 4).
+        The tag is emitted at most once: a (copy on, copy off) pair
+        degenerates to copying the tag, a copy-tag action on either side
+        also copies it, and inside an active copy region it is part of the
+        region already.
         """
-        if self._copy_active:
-            # Inside an active copy region the bachelor tag is part of the
-            # region and needs no individual treatment.
-            return
+        tables = self._tables
+        open_state = tables.A(state, (OPEN, tag))
+        if open_state is None:
+            raise self._transition_error(state, (OPEN, tag), start)
+        close_state = tables.A(open_state, (CLOSE, tag))
+        if close_state is None:
+            raise self._transition_error(open_state, (CLOSE, tag), start)
+        open_action = tables.T(open_state)
+        close_action = tables.T(close_state)
         wants_copy = (
             open_action in (Action.COPY_TAG, Action.COPY_ON)
             or close_action in (Action.COPY_TAG, Action.COPY_OFF)
         ) and not (open_action is Action.NOP and close_action is Action.NOP)
-        if wants_copy:
-            self._emit(self._window.slice(matched.start, matched.end + 1))
+        if wants_copy and not self._copy_active:
+            self._emit(self._window.slice(start, end + 1))
             self.stats.tokens_copied += 1
+        return close_state
 
     # ------------------------------------------------------------------
     # Errors
@@ -630,39 +550,31 @@ class RuntimeStream(_FilterStreamBase):
             # The C token kernel replays the native backend's statistics
             # formulas; other backends run the pure batched loop.
             self._delivery = "batched"
-        if self._delivery == "pertoken":
-            #: Last checkpointable snapshot published by the generator and
-            #: the resume state consumed at its (lazy) start.
-            self._pt_snapshot: dict | None = None
-            self._pt_resume: dict | None = None
-            self._machine = self._run()
-        else:
-            self._machine = None
-            # Explicit resume state of the batched drive loop.
-            self._state = runtime.tables.initial_state
-            self._phase = _PH_TOKEN
-            self._cursor = 0          # next search origin ('>' of last token)
-            self._matcher_obj = None  # matcher of the current search
-            self._search_pos = 0      # current search position
-            self._pending: PendingSearch | None = None
-            self._match_pos = 0       # '<' offset of the current match
-            self._keyword = b""
-            self._tag_cursor = 0      # end-of-tag scan position
-            self._quote = b""         # open quote needle (suspended skip)
-            self._quote_from = 0      # quote-skip resume offset
-            if self._delivery == "accel":
-                self._accel_mod = load_accel()
-                #: state -> (capsule, keywords, symbols, matcher) of the C
-                #: token kernel (compiled lazily, like the matcher cache).
-                self._accel_ctx: dict[int, tuple] = {}
-                self._ctx = None      # context of the suspended token
-                # C-side resume vector (absolute offsets / keyword index).
-                self._c_phase = 0
-                self._c_begin = 0
-                self._c_pos = 0
-                self._c_kwi = 0
-                self._c_aux = 0
-                self._c_quote = 0
+        # Explicit resume state of the drive loop.
+        self._state = runtime.tables.initial_state
+        self._phase = _PH_TOKEN
+        self._cursor = 0          # next search origin ('>' of last token)
+        self._matcher_obj = None  # matcher of the current search
+        self._search_pos = 0      # current search position
+        self._pending: PendingSearch | None = None
+        self._match_pos = 0       # '<' offset of the current match
+        self._keyword = b""
+        self._tag_cursor = 0      # end-of-tag scan position
+        self._quote = b""         # open quote needle (suspended skip)
+        self._quote_from = 0      # quote-skip resume offset
+        if self._delivery == "accel":
+            self._accel_mod = load_accel()
+            #: state -> (capsule, symbols, matcher) of the C token kernel
+            #: (compiled lazily, like the matcher cache).
+            self._accel_ctx: dict[int, tuple] = {}
+            self._ctx = None      # context of the suspended token
+            # C-side resume vector (absolute offsets / keyword index).
+            self._c_phase = 0
+            self._c_begin = 0
+            self._c_pos = 0
+            self._c_kwi = 0
+            self._c_aux = 0
+            self._c_quote = 0
 
     @property
     def delivery(self) -> str:
@@ -733,19 +645,12 @@ class RuntimeStream(_FilterStreamBase):
         if self._done:
             return
         try:
-            if self._machine is not None:
-                try:
-                    next(self._machine)
-                    return
-                except StopIteration:
-                    pass
+            if self._delivery == "accel":
+                accepted = self._drive_accel()
             else:
-                if self._delivery == "accel":
-                    accepted = self._drive_accel()
-                else:
-                    accepted = self._drive()
-                if not accepted:
-                    return
+                accepted = self._drive()
+            if not accepted:
+                return
             self._done = True
             self._keep_from = self._window.end
         except Exception:
@@ -772,23 +677,12 @@ class RuntimeStream(_FilterStreamBase):
     def export_state(self) -> dict:
         """Capture this stream's complete resume state as plain data.
 
-        Valid at any feed boundary.  The batched and accel deliveries keep
-        explicit resume fields, so the snapshot is exact; the per-token
-        generator cannot be reified directly, so it *publishes* a snapshot
-        at its two input-wait points (token boundary, suspended frontier
-        search) and this method returns the last published one -- resuming
-        from it replays at most the tail the original run had already
-        processed past it, reproducing identical output and statistics.
-        Matcher counters are folded in, so the captured statistics are
-        self-contained.
+        Valid at any feed boundary: both deliveries keep explicit resume
+        fields, so the snapshot is exact.  Matcher counters are folded in,
+        so the captured statistics are self-contained.
         """
         if self._failed:
             raise CheckpointError("cannot checkpoint a failed stream")
-        if self._delivery == "pertoken":
-            snapshot = self._pt_snapshot
-            if snapshot is None:
-                snapshot = self._pt_initial()
-            return dict(snapshot)
         stats = self.stats.copy()
         self._runtime._collect_matcher_statistics(stats)
         snapshot = self._export_common()
@@ -824,10 +718,11 @@ class RuntimeStream(_FilterStreamBase):
 
         Must be called on a freshly constructed stream before any input is
         fed.  Token-boundary snapshots (phase ``TOKEN``) restore into any
-        delivery; suspended-search snapshots travel between the per-token
-        and batched loops (identical ``find_chunk`` contract); snapshots
-        suspended inside the C kernel or the batched verify/tag/quote
-        phases require the capturing delivery.
+        delivery; snapshots suspended inside the C kernel or the pure
+        loop's search/verify/tag/quote phases require the capturing
+        delivery.  Legacy ``"pertoken"`` snapshots were published only at
+        token boundaries and suspended frontier searches, which the pure
+        loop resumes through the same ``find_chunk`` contract.
         """
         if snapshot.get("kind") != "stream":
             raise CheckpointError("snapshot is not a runtime-stream checkpoint")
@@ -840,8 +735,8 @@ class RuntimeStream(_FilterStreamBase):
         if phase != _PH_TOKEN and delivery != self._delivery:
             portable_search = (
                 phase == _PH_SEARCH
-                and delivery in ("pertoken", "batched")
-                and self._delivery in ("pertoken", "batched")
+                and delivery == "pertoken"
+                and self._delivery == "batched"
             )
             if not portable_search:
                 raise CheckpointError(
@@ -853,14 +748,6 @@ class RuntimeStream(_FilterStreamBase):
         cursor = int(snapshot["cursor"])
         self._done = bool(snapshot["done"])
         self._keep_from = self._window.base
-        if self._delivery == "pertoken":
-            resume = {"state": state, "cursor": cursor, "pending": None}
-            if phase == _PH_SEARCH:
-                resume["pending"] = _thaw_pending(snapshot.get("pending"))
-                resume["search_pos"] = int(snapshot.get("search_pos", cursor))
-            self._pt_resume = resume
-            self._pt_snapshot = dict(snapshot)
-            return
         self._state = state
         self._cursor = cursor
         self._phase = phase
@@ -886,119 +773,12 @@ class RuntimeStream(_FilterStreamBase):
         self._pending = _thaw_pending(snapshot.get("pending"))
         self._matcher_obj = self._runtime._matcher(state)
 
-    def _pt_initial(self) -> dict:
-        """A pristine snapshot: resume re-runs the document from byte 0."""
-        return {
-            "kind": "stream",
-            "delivery": "pertoken",
-            "input_offset": 0,
-            "state": self._runtime.tables.initial_state,
-            "phase": _PH_TOKEN,
-            "cursor": 0,
-            "done": False,
-            "binary": self._binary,
-            "window": {"base": 0, "data": b"", "eof": False},
-            "stats": RunStatistics().export_state(),
-            "emitted_bytes": 0,
-            "copy_active": False,
-            "copy_tag": "",
-            "copy_emitted": 0,
-            "out": [],
-            "decoder": None,
-            "finished": False,
-        }
-
-    def _pt_snapshot_base(self, carry_low: int) -> dict:
-        """Common part of a generator publish.
-
-        Matcher counters are folded into the captured statistics, and the
-        not-yet-collected output fragments are treated as *delivered*: the
-        suspended ``feed()`` call returns them before any caller can
-        observe the checkpoint, so they belong to the pre-crash output
-        prefix (they are part of ``emitted_bytes``), not to the restored
-        stream.  In text mode the captured decoder state is advanced past
-        them accordingly.
-        """
-        stats = self.stats.copy()
-        self._runtime._collect_matcher_statistics(stats)
-        snapshot = self._export_common(carry_low)
-        snapshot["stats"] = stats.export_state()
-        if self._out:
-            if not self._binary:
-                simulated = Utf8SlidingDecoder()
-                simulated.import_state(self._decoder.export_state())
-                for fragment in self._out:
-                    simulated.decode(fragment)
-                snapshot["decoder"] = list(simulated.export_state())
-            snapshot["out"] = []
-        return snapshot
-
-    def _pt_publish(self, state: int, cursor: int) -> None:
-        """Publish a token-boundary snapshot (generator wait loop).
-
-        Carry bytes are captured *now*: the live window may discard bytes
-        below this snapshot's floor before the next publish, so deferring
-        the copy to :meth:`export_state` would be unsound.
-        """
-        window = self._window
-        carry_low = (
-            self._copy_emitted if self._copy_active
-            else min(cursor, window.end)
-        )
-        snapshot = self._pt_snapshot_base(carry_low)
-        snapshot.update(
-            kind="stream",
-            delivery="pertoken",
-            input_offset=window.end,
-            state=state,
-            phase=_PH_TOKEN,
-            cursor=cursor,
-            done=False,
-        )
-        self._pt_snapshot = snapshot
-
-    def _pt_publish_search(self, state: int, position: int,
-                           pending: PendingSearch) -> None:
-        """Publish a suspended-frontier-search snapshot.
-
-        Backends whose suspended state cannot leave the process (see
-        :func:`_freeze_state_value`) skip the publish -- the previous
-        snapshot stays valid, resume just replays a longer tail.
-        """
-        try:
-            frozen = _freeze_pending(pending)
-        except CheckpointError:
-            return
-        window = self._window
-        carry_low = pending.keep_from
-        if self._copy_active:
-            carry_low = min(carry_low, self._copy_emitted)
-        snapshot = self._pt_snapshot_base(carry_low)
-        snapshot.update(
-            kind="stream",
-            delivery="pertoken",
-            input_offset=window.end,
-            state=state,
-            phase=_PH_SEARCH,
-            cursor=position,
-            search_pos=position,
-            match_pos=0,
-            keyword=b"",
-            tag_cursor=0,
-            quote=b"",
-            quote_from=0,
-            pending=frozen,
-            done=False,
-        )
-        self._pt_snapshot = snapshot
-
     # ------------------------------------------------------------------
-    # Batched delivery: the flat explicit-state drive loop
+    # Pure delivery: the explicit-state drive loop
     # ------------------------------------------------------------------
     def _token_transition(
         self,
         state: int,
-        keyword: bytes,
         symbol: Symbol,
         start: int,
         end: int,
@@ -1006,14 +786,11 @@ class RuntimeStream(_FilterStreamBase):
     ) -> int:
         """Take the transition for one accepted token and apply its action.
 
-        The inlined per-token fast path of the drive loop (same semantics
-        as :meth:`_transition` / :meth:`_apply_action`, minus the
-        ``_MatchedTag`` allocation for the common non-bachelor case).
+        The inlined per-token fast path of the drive loops; bachelor
+        openings take :meth:`_bachelor_transition`.
         """
         if bachelor and symbol[0] == OPEN:
-            return self._transition(
-                state, _MatchedTag(keyword, symbol, start, end, True)
-            )
+            return self._bachelor_transition(state, symbol[1], start, end)
         tables = self._tables
         next_state = tables.transition.get(state, {}).get(symbol)
         if next_state is None:
@@ -1045,16 +822,22 @@ class RuntimeStream(_FilterStreamBase):
         return next_state
 
     def _drive(self) -> bool:
-        """Run the Figure-4 loop over the buffered window without yields.
+        """Run the Figure-4 loop over the buffered window.
 
-        The explicit-state twin of :meth:`_run`: one call consumes every
-        token decidable from the buffered input in a single tight loop,
-        suspends by returning ``False`` (resume state held in instance
-        fields, phase constants ``_PH_*``) and returns ``True`` once the
-        automaton accepted.  It issues the *identical* matcher
-        ``find_chunk`` call sequence and the identical per-span
-        ``local_scan_chars`` accounting as the per-token generator, so
-        output and every statistic are byte-identical for any chunking.
+        One call consumes every token decidable from the buffered input in
+        a single tight loop, suspends by returning ``False`` (resume state
+        held in instance fields, phase constants ``_PH_*``) and returns
+        ``True`` once the automaton accepted.  Suspended keyword searches
+        resume through the matchers' ``find_chunk`` contract and
+        ``local_scan_chars`` is accounted per scanned span, so output and
+        every statistic are byte-identical for any chunking.
+
+        Matches whose tag name merely extends the searched keyword (the
+        ``Abstract`` / ``AbstractText`` case) are rejected and the search
+        resumes just past them; every byte >= 0x80 counts as a name byte,
+        so the verdict never depends on where a chunk split a UTF-8
+        sequence.  The end-of-tag scan skips quoted attribute values, so a
+        ``>`` inside a value cannot end a tag early.
         """
         runtime = self._runtime
         tables = runtime.tables
@@ -1185,8 +968,8 @@ class RuntimeStream(_FilterStreamBase):
                 bachelor = end > after and text[end - 1 - tbase] == _SLASH
                 stats.tokens_matched += 1
                 state = self._token_transition(
-                    state, keyword, keyword_symbols[state][keyword],
-                    start, end, bachelor,
+                    state, keyword_symbols[state][keyword], start, end,
+                    bachelor,
                 )
                 self._cursor = end
                 self._keep_from = end
@@ -1201,10 +984,10 @@ class RuntimeStream(_FilterStreamBase):
     def _accel_context(self, state: int) -> tuple:
         """Compile the C search context of one automaton state (cached).
 
-        ``(capsule, keywords, symbols, matcher)``: the capsule drives the
-        C kernel, the keyword/symbol tuples decode its keyword indices,
-        and the matcher is the pure backend whose statistics the kernel's
-        deltas are replayed into (so aggregated counters stay identical).
+        ``(capsule, symbols, matcher)``: the capsule drives the C kernel,
+        the symbol tuple decodes its keyword indices, and the matcher is
+        the pure backend whose statistics the kernel's deltas are replayed
+        into (so aggregated counters stay identical).
         """
         matcher = self._runtime._matcher(state)
         is_single = isinstance(matcher, SingleKeywordMatcher)
@@ -1214,7 +997,6 @@ class RuntimeStream(_FilterStreamBase):
         symbols_map = self._tables.keyword_symbols_bytes[state]
         ctx = (
             self._accel_mod.compile_keywords(list(keywords), is_single),
-            keywords,
             tuple(symbols_map[keyword] for keyword in keywords),
             matcher,
         )
@@ -1291,7 +1073,7 @@ class RuntimeStream(_FilterStreamBase):
                     self._c_phase, self._c_begin, self._c_pos,
                     self._c_kwi, self._c_aux, self._c_quote,
                 )
-                matcher_stats = ctx[3].stats
+                matcher_stats = ctx[2].stats
                 matcher_stats.searches += d_searches
                 matcher_stats.comparisons += d_comparisons
                 matcher_stats.shifts += d_shifts
@@ -1310,11 +1092,9 @@ class RuntimeStream(_FilterStreamBase):
                 if status == 2:
                     raise self._no_token_error()
                 # Token complete: transition, action, next search origin.
-                keyword = ctx[1][c_kwi]
                 stats.tokens_matched += 1
                 state = self._token_transition(
-                    state, keyword, ctx[2][c_kwi], c_pos, tag_end,
-                    bool(bachelor),
+                    state, ctx[1][c_kwi], c_pos, tag_end, bool(bachelor),
                 )
                 self._cursor = tag_end
                 self._keep_from = tag_end
@@ -1322,185 +1102,6 @@ class RuntimeStream(_FilterStreamBase):
         finally:
             self._state = state
             self._phase = phase
-
-    # ------------------------------------------------------------------
-    # The Figure-4 state machine (a generator that yields for more input)
-    # ------------------------------------------------------------------
-    def _run(self):
-        runtime = self._runtime
-        tables = runtime.tables
-        window = self._window
-        state = tables.initial_state
-        cursor = 0
-        resume_search = None
-        resume = self._pt_resume
-        if resume is not None:
-            # Restored from a checkpoint (the body runs lazily, so the
-            # resume state set by import_state is visible here).
-            self._pt_resume = None
-            state = resume["state"]
-            cursor = resume["cursor"]
-            if resume["pending"] is not None:
-                resume_search = (resume["search_pos"], resume["pending"])
-        stats = self.stats
-
-        while not tables.is_final(state):
-            if resume_search is not None:
-                # Drop straight back into the suspended frontier search:
-                # the initial jump of this state was already accounted
-                # before the original search began.
-                position, pending = resume_search
-                resume_search = None
-            else:
-                while cursor >= window.end and not window.eof:
-                    self._keep_from = cursor
-                    self._pt_publish(state, cursor)
-                    yield
-                if cursor >= window.end:
-                    break
-                jump = tables.J(state)
-                if jump:
-                    stats.initial_jumps += 1
-                    stats.initial_jump_chars += jump
-                    cursor += jump
-                position, pending = cursor, None
-            matcher = runtime._matcher(state)
-            if matcher is None:
-                raise RuntimeFilterError(
-                    f"runtime state {state} has an empty frontier vocabulary but is "
-                    "not final; the document does not conform to the DTD"
-                )
-            matched = yield from self._locate_tag(position, state, matcher, pending)
-            if matched is None:
-                raise self._no_token_error()
-            stats.tokens_matched += 1
-            state = self._transition(state, matched)
-            cursor = matched.end
-            self._keep_from = cursor
-
-        if not tables.is_final(state):
-            raise self._incomplete_error()
-        if self._copy_active:
-            raise self._unclosed_copy_error()
-
-    # ------------------------------------------------------------------
-    # Token location
-    # ------------------------------------------------------------------
-    def _locate_tag(
-        self,
-        cursor: int,
-        state: int,
-        matcher: SingleKeywordMatcher | MultiKeywordMatcher,
-        pending: "PendingSearch | None" = None,
-    ):
-        """Find the next frontier token at or after ``cursor``.
-
-        Matches whose tag name merely extends the searched keyword (the
-        ``Abstract`` / ``AbstractText`` case) are rejected and the search is
-        resumed just past the false match.  Every byte >= 0x80 counts as a
-        name byte (it belongs to a multi-byte UTF-8 name character), so the
-        rejection test never depends on where a chunk split a sequence.
-        Yields whenever the decision needs input beyond the buffered window.
-        A checkpoint-restored ``pending`` resumes the original suspended
-        search exactly where it left off.
-        """
-        window = self._window
-        stats = self.stats
-        tables = self._runtime.tables
-        keyword_symbols = tables.keyword_symbols_bytes[state]
-        position = cursor
-        while True:
-            while True:
-                text, text_base = window.view()
-                outcome = matcher.find_chunk(
-                    text,
-                    text_base,
-                    position,
-                    window.end,
-                    at_eof=window.eof,
-                    pending=pending,
-                )
-                if isinstance(outcome, PendingSearch):
-                    pending = outcome
-                    self._keep_from = outcome.keep_from
-                    self._pt_publish_search(state, position, outcome)
-                    yield
-                    continue
-                match = outcome
-                break
-            pending = None
-            if match is None:
-                return None
-            keyword = match.keyword
-            after = match.position + len(keyword)
-            while after >= window.end and not window.eof:
-                self._keep_from = match.position
-                yield
-            if after < window.end and is_name_byte(window.char(after)):
-                # A longer tag name, e.g. "<AbstractText" while scanning for
-                # "<Abstract": resume just past the false match.
-                stats.local_scan_chars += 1
-                position = match.position + 1
-                continue
-            symbol = keyword_symbols[keyword]
-            end, is_bachelor = yield from self._scan_tag_end(after, match.position)
-            if end is None:
-                return None
-            return _MatchedTag(
-                keyword=keyword,
-                symbol=symbol,
-                start=match.position,
-                end=end,
-                is_bachelor=is_bachelor and symbol[0] == OPEN,
-            )
-
-    def _scan_tag_end(self, position: int, tag_start: int):
-        """Scan right for the closing ``>`` of a tag.
-
-        Quoted attribute values are skipped so a ``>`` inside a value cannot
-        terminate the scan early.  Returns the offset of ``>`` and whether
-        the tag is a bachelor tag (``.../>``); yields while the tag is still
-        incomplete in the buffered window (the whole tag is retained so the
-        copy actions can replay it).
-
-        The scan is vectorized: candidate ``>`` and quote positions come
-        from the cursor's C-level ``find`` and ``local_scan_chars`` is
-        accounted per span (``end - position + 1``: every scanned byte
-        exactly once, the same total the per-byte loop produced).
-        """
-        window = self._window
-        cursor = position
-        while True:
-            gt = window.find(b">", cursor)
-            while gt < 0:
-                if window.eof:
-                    return None, False
-                self._keep_from = tag_start
-                yield
-                gt = window.find(b">", cursor)
-            dq = window.find(b'"', cursor, gt)
-            sq = window.find(b"'", cursor, gt)
-            if dq < 0 and sq < 0:
-                end = gt
-                break
-            if dq >= 0 and (sq < 0 or dq < sq):
-                quote_at, needle = dq, b'"'
-            else:
-                quote_at, needle = sq, b"'"
-            search_from = quote_at + 1
-            while True:
-                closing = window.find(needle, search_from)
-                if closing >= 0:
-                    break
-                if window.eof:
-                    return None, False
-                search_from = window.end
-                self._keep_from = tag_start
-                yield
-            cursor = closing + 1
-        self.stats.local_scan_chars += end - position + 1
-        is_bachelor = end > position and window.char(end - 1) == _SLASH
-        return end, is_bachelor
 
 
 #: :class:`~repro.core.tables.Action` -> flat code used by the native step
@@ -1542,7 +1143,7 @@ def compile_step_tables(
     """Flatten ``tables`` over the union keyword space for the C stepper.
 
     ``keywords`` is the dispatcher's union vocabulary (the event id space
-    of ``scan_events``); keywords of other queries simply stay out of this
+    of ``step_events``); keywords of other queries simply stay out of this
     stream's table rows (``next == -1``), which is exactly the subscription
     test the Python registry performs.  The bachelor open+close pair is
     resolved here so the kernel takes both transitions in one step; a
@@ -1768,13 +1369,10 @@ class DrivenStream(_FilterStreamBase):
         stats.tokens_matched += 1
         symbol = vocabulary[keyword]
         if is_bachelor and symbol[0] == OPEN:
-            next_state = self._transition(
-                state, _MatchedTag(keyword, symbol, start, end, True)
-            )
+            next_state = self._bachelor_transition(state, symbol[1], start, end)
         else:
-            # Inlined non-bachelor transition and actions: the per-token
-            # fast path of the shared-scan engine (same semantics as
-            # _transition / _apply_action).
+            # Inlined non-bachelor transition and actions (same semantics
+            # as RuntimeStream._token_transition).
             next_state = self._transitions.get(symbol)
             if next_state is None:
                 raise self._transition_error(state, symbol, start)

@@ -45,11 +45,12 @@ class RunStatistics:
     regions_copied: int = 0
     run_seconds: float = 0.0
     peak_memory_bytes: int = 0
-    #: Number of runs folded into this record that asked for the C token
-    #: kernel (``delivery="accel"``) but ran the pure batched loop because
-    #: ``repro._accel`` is not importable.  Excluded from :meth:`as_dict`:
-    #: the degrade changes throughput, never output or paper counters, so
-    #: delivery-equivalence comparisons must not see it.
+    #: Number of runs folded into this record that asked for the native
+    #: kernels (``delivery="accel"``) but ran the pure ``"batched"``
+    #: reference because ``repro._accel`` is not importable.  Excluded
+    #: from :meth:`as_dict`: the degrade changes throughput, never output
+    #: or paper counters, so delivery-equivalence comparisons must not
+    #: see it.
     accel_degraded: int = 0
 
     # ------------------------------------------------------------------

@@ -47,7 +47,6 @@ ASCII tag keywords and documents of the paper's workloads.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -243,28 +242,6 @@ class SingleKeywordMatcher(ABC):
         self.stats.searches = before + 1
         return hits, resume + base
 
-    def collect_chunk_ids(
-        self, text: str, base: int, start: int, end: int, *, at_eof: bool,
-        out: "array | None" = None,
-    ) -> tuple["array", int, int]:
-        """Batch scan into a flat ``array('q')`` of ``(offset, keyword_id)``.
-
-        The id-based twin of :meth:`collect_chunk` for consumers that want
-        a reusable flat buffer instead of per-hit tuples: event ``i``
-        occupies ``events[2*i]`` (absolute offset) and ``events[2*i + 1]``
-        (keyword id -- always 0 for a single-keyword matcher).  ``out``
-        recycles a caller-owned array (cleared first).  Returns ``(events,
-        count, resume)`` with the same hits, order and statistics as
-        :meth:`collect_chunk`.
-        """
-        hits, resume = self.collect_chunk(text, base, start, end, at_eof=at_eof)
-        events = array("q") if out is None else out
-        del events[:]
-        for position, _keyword in hits:
-            events.append(position)
-            events.append(0)
-        return events, len(hits), resume
-
     def find_chunk(
         self,
         text: str,
@@ -392,35 +369,6 @@ class MultiKeywordMatcher(ABC):
             position = match.position + 1
         self.stats.searches = before + 1
         return hits, resume + base
-
-    def _keyword_ids(self) -> dict:
-        """Memoised keyword -> index map over :attr:`keywords`."""
-        ids = getattr(self, "_keyword_id_map", None)
-        if ids is None:
-            ids = self._keyword_id_map = {
-                keyword: index for index, keyword in enumerate(self.keywords)
-            }
-        return ids
-
-    def collect_chunk_ids(
-        self, text: str, base: int, start: int, end: int, *, at_eof: bool,
-        out: "array | None" = None,
-    ) -> tuple["array", int, int]:
-        """Batch scan into a flat ``array('q')`` of ``(offset, keyword_id)``.
-
-        The id-based twin of :meth:`collect_chunk` (see the single-keyword
-        counterpart for the layout); keyword ids index :attr:`keywords`.
-        Returns ``(events, count, resume)`` with the same hits, order and
-        statistics as :meth:`collect_chunk`.
-        """
-        hits, resume = self.collect_chunk(text, base, start, end, at_eof=at_eof)
-        ids = self._keyword_ids()
-        events = array("q") if out is None else out
-        del events[:]
-        for position, keyword in hits:
-            events.append(position)
-            events.append(ids[keyword])
-        return events, len(hits), resume
 
     def find_chunk(
         self,

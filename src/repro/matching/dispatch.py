@@ -143,30 +143,18 @@ class KeywordDispatcher:
         self.prefixes: dict[str, tuple[str, ...]] = proper_prefix_table(
             self.keywords
         )
-        #: :attr:`prefixes` and keyword lengths re-indexed by keyword id --
-        #: the event id space of ``scan_ids`` / the C ``scan_events`` kernel
-        #: -- so the per-event hot loop never hashes keyword bytes.
-        self.prefixes_by_index: tuple[tuple[str, ...], ...] = tuple(
-            self.prefixes[keyword] for keyword in self.keywords
-        )
-        self.keyword_lengths: tuple[int, ...] = tuple(
-            len(keyword) for keyword in self.keywords
-        )
-        #: Keyword -> id over :attr:`keywords` (the shared event id space).
-        self.keyword_index: dict[str, int] = {
+        # :attr:`prefixes` as CSR-style int64 arrays over keyword ids (the
+        # indices of :attr:`keywords`) for the native ``step_events``
+        # kernel: the prefix ids of keyword ``k`` are
+        # ``prefix_ids[prefix_starts[k]:prefix_starts[k + 1]]``.
+        keyword_index = {
             keyword: index for index, keyword in enumerate(self.keywords)
         }
-        #: :attr:`prefixes_by_index` flattened into CSR-style int64 arrays
-        #: for the native ``step_events`` kernel: the prefix ids of keyword
-        #: ``k`` are ``prefix_ids[prefix_starts[k]:prefix_starts[k + 1]]``.
         starts = array("q", bytes(8 * (len(self.keywords) + 1)))
         ids: list[int] = []
-        for index in range(len(self.keywords)):
+        for index, keyword in enumerate(self.keywords):
             starts[index] = len(ids)
-            ids.extend(
-                self.keyword_index[prefix]
-                for prefix in self.prefixes_by_index[index]
-            )
+            ids.extend(keyword_index[prefix] for prefix in self.prefixes[keyword])
         starts[len(self.keywords)] = len(ids)
         self.prefix_starts = starts
         self.prefix_ids = array("q", ids)
@@ -201,17 +189,15 @@ class KeywordDispatcher:
         return self._matcher.stats
 
     def accel_capsule(self, accel_mod):
-        """The union vocabulary compiled for the C scan kernel (cached).
+        """The union vocabulary compiled for the C kernels (cached).
 
         ``accel_mod`` is the loaded ``repro._accel`` module (see
-        :func:`repro.accel.load_accel`).  Returns ``None`` when the
-        vocabulary is not byte keywords -- the C kernels scan raw byte
-        windows only.  Event keyword ids index :attr:`keywords`.
+        :func:`repro.accel.load_accel`).  The C kernels scan raw byte
+        windows, so the vocabulary must be byte keywords.  Event keyword
+        ids index :attr:`keywords`.
         """
         capsule = self._accel_capsule
         if capsule is None:
-            if not isinstance(self.keywords[0], bytes):
-                return None
             capsule = accel_mod.compile_keywords(list(self.keywords), False)
             self._accel_capsule = capsule
         return capsule
@@ -233,19 +219,3 @@ class KeywordDispatcher:
         the test suite asserts.
         """
         return self._matcher.collect_chunk(text, base, start, end, at_eof=at_eof)
-
-    def scan_ids(
-        self, text: str, base: int, start: int, end: int, *, at_eof: bool,
-        out=None,
-    ):
-        """The :meth:`scan` stream as a flat ``array('q')`` of events.
-
-        Delegates to the union matcher's ``collect_chunk_ids`` contract:
-        event ``i`` is ``(events[2*i], events[2*i + 1])`` -- absolute
-        offset plus an id indexing :attr:`keywords` (the matcher is built
-        over exactly that tuple).  ``out`` recycles a caller-owned array.
-        Returns ``(events, count, resume)``.
-        """
-        return self._matcher.collect_chunk_ids(
-            text, base, start, end, at_eof=at_eof, out=out
-        )

@@ -18,7 +18,6 @@ for the paper's reproduced columns.
 
 from __future__ import annotations
 
-from array import array
 from typing import Sequence
 
 from repro.matching.base import (
@@ -232,46 +231,3 @@ class NativeMultiMatcher(MultiKeywordMatcher):
                 1, (len(keywords) * spanned) // max(1, self.min_keyword_length)
             )
         return hits, resume + base
-
-    def collect_chunk_ids(
-        self, text: str, base: int, start: int, end: int, *, at_eof: bool,
-        out: "array | None" = None,
-    ) -> tuple["array", int, int]:
-        """Id-based batch scan with no per-hit tuples.
-
-        Same sweep as :meth:`collect_chunk`, but each hit is encoded as one
-        integer ``position * len(keywords) + sweep_order`` -- sorting the
-        plain ints reproduces the position order with longest-keyword-first
-        ties (sweep order is longest first) without allocating tuple pairs,
-        and the decoded pairs go straight into the flat int64 array.
-        """
-        text = as_searchable(text)
-        limit = end - base
-        low = start - base
-        resume = limit if at_eof else max(low, limit + 1 - self.max_keyword_length)
-        keywords = self.keywords
-        mult = len(keywords)
-        encoded: list[int] = []
-        for order, index in enumerate(self._ordered):
-            keyword = keywords[index]
-            bound = min(limit, resume + len(keyword) - 1)
-            position = text.find(keyword, low, bound)
-            while 0 <= position < resume:
-                encoded.append((position + base) * mult + order)
-                position = text.find(keyword, position + 1, bound)
-        encoded.sort()
-        events = array("q") if out is None else out
-        del events[:]
-        ordered = self._ordered
-        for key in encoded:
-            position, order = divmod(key, mult)
-            events.append(position)
-            events.append(ordered[order])
-        self.stats.searches += 1
-        self.stats.matches += len(encoded)
-        spanned = max(0, resume - low)
-        if spanned:
-            self.stats.comparisons += max(
-                1, (mult * spanned) // max(1, self.min_keyword_length)
-            )
-        return events, len(encoded), resume + base

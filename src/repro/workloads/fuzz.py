@@ -1,9 +1,11 @@
 """Differential fuzzing across all execution paths of the engine.
 
 The engine has four execution paths — whole-document, chunked (any split),
-shared multi-query scan, and parallel corpus — times up to three token
-delivery tiers (``pertoken``, ``batched``, ``accel``), and they must all
-be byte-identical with equal statistics.  This driver turns the generator
+shared multi-query scan, and parallel corpus — times two token delivery
+tiers (the pure ``batched`` reference and, when the C extension is built,
+native ``accel``), and they must all be byte-identical with equal
+statistics.  The reference of every comparison is the whole-document
+``batched`` run.  This driver turns the generator
 subsystem into an automated equivalence obligation: every generated
 (record, query) pair runs through the whole matrix and any disagreement is
 reported with a seed-addressable repro line.
@@ -154,10 +156,7 @@ SCENARIOS: dict[str, Scenario] = {
 
 def available_deliveries() -> tuple[str, ...]:
     """The token-delivery tiers importable in this process."""
-    tiers = ["pertoken", "batched"]
-    if accel_available():
-        tiers.append("accel")
-    return tuple(tiers)
+    return ("batched", "accel") if accel_available() else ("batched",)
 
 
 # ----------------------------------------------------------------------
@@ -396,22 +395,22 @@ class _CaseRunner:
     # ------------------------------------------------------------------
     def _single_query_matrix(self) -> list[list]:
         """Whole vs chunked vs deliveries; returns per-query per-record
-        reference (pertoken, whole-document) runs."""
+        reference (batched, whole-document) runs."""
         flavors = self._scenario.flavors
         references: list[list] = []
         for query, plan in zip(self._queries, self._plans):
             per_record = []
             for index, record in enumerate(self._records):
                 self._result.pairs += 1
-                reference = self._run_single(plan, [record], "pertoken")
+                reference = self._run_single(plan, [record], "batched")
                 per_record.append(reference)
                 chunked_data = self._chunked_view(index)
                 for delivery in self._deliveries:
-                    if delivery != "pertoken":
+                    if delivery != "batched":
                         self._compare_single(
                             query.name, index, reference,
                             plan, [record], delivery,
-                            comparison=f"whole[pertoken] vs whole[{delivery}]",
+                            comparison=f"whole[batched] vs whole[{delivery}]",
                         )
                     for flavor in flavors:
                         chunks = adversarial_chunks(
@@ -420,7 +419,7 @@ class _CaseRunner:
                         self._compare_single(
                             query.name, index, reference,
                             plan, chunks, delivery,
-                            comparison=(f"whole[pertoken] vs "
+                            comparison=(f"whole[batched] vs "
                                         f"chunked[{delivery}]/{flavor}"),
                         )
             references.append(per_record)
@@ -463,7 +462,7 @@ class _CaseRunner:
 
     def _compare_shared(self, engine, chunks, delivery, index,
                         references, label) -> None:
-        comparison = f"whole[pertoken] vs {label}"
+        comparison = f"whole[batched] vs {label}"
         try:
             session = engine.session(binary=True, delivery=delivery)
             pieces: list[list[bytes]] = [[] for _ in self._queries]
@@ -516,7 +515,7 @@ class _CaseRunner:
             if seq_result.output != concatenated:
                 self._diverge(
                     query.name, -1,
-                    "concatenated whole[pertoken] vs corpus-sequential",
+                    "concatenated whole[batched] vs corpus-sequential",
                     _first_difference(seq_result.output, concatenated),
                 )
             if par_result.output != seq_result.output:

@@ -8,8 +8,11 @@ Three layers of proof, matching the recovery subsystem's guarantees:
   query set or output mode is refused the same way.
 - **Session resume**: for every delivery tier, a session checkpointed at
   an arbitrary feed boundary and restored into a fresh engine produces
-  output and statistics byte-identical to an uninterrupted run — single
-  query, shared multi-query scan, and mid-document attach all covered.
+  output and statistics byte-identical to an uninterrupted whole-document
+  ``batched`` run — single query, shared multi-query scan, and
+  mid-document attach all covered.  Legacy snapshots labelled with the
+  retired per-token delivery still restore into ``batched``; a mid-token
+  snapshot never crosses between the two live deliveries.
 - **Chaos**: a SIGKILLed corpus run resumes from its journal with
   exactly-once, byte-identical merged output, and the fuzz harness's
   kill-and-resume matrix (child SIGKILLs itself at a seeded offset)
@@ -25,6 +28,7 @@ import signal
 import pytest
 
 from repro import api
+from repro.accel import accel_available
 from repro.checkpoint import (
     Checkpoint,
     CorpusJournal,
@@ -132,7 +136,7 @@ class TestSessionResume:
         )
         data = medline_document_small.encode("utf-8")
         chunks = adversarial_chunks(data, "midtag")
-        reference = plan.session(binary=True, delivery=delivery).run(chunks)
+        reference = plan.session(binary=True, delivery="batched").run([data])
 
         cut = len(chunks) // 3
         path = str(tmp_path / f"{delivery}.ckpt")
@@ -155,6 +159,63 @@ class TestSessionResume:
         tail.append(second.finish())
         assert b"".join(head + tail) == reference.output
         assert _stats_tuple(second.stats) == _stats_tuple(reference.stats)
+
+    @staticmethod
+    def _snapshot_at_phase(plan, delivery, chunks, phase):
+        """The first feed-boundary snapshot in ``phase`` (0 = token
+        boundary, 1 = suspended frontier search), with the bytes fed and
+        the output returned up to it."""
+        session = plan.session(binary=True, delivery=delivery)
+        consumed, head = 0, []
+        for chunk in [b""] + chunks:
+            head.append(session.feed(chunk))
+            consumed += len(chunk)
+            snapshot = session.export_state()
+            if snapshot["phase"] == phase:
+                return snapshot, consumed, b"".join(head)
+        raise AssertionError(f"no snapshot in phase {phase}")
+
+    @pytest.mark.parametrize("phase", [0, 1], ids=["token", "search"])
+    def test_legacy_pertoken_snapshot_restores_into_batched(
+        self, medline_dtd_fixture, medline_document_small, phase,
+    ):
+        """The retired per-token delivery published snapshots only at token
+        boundaries and suspended frontier searches; both still resume."""
+        plan = SmpPrefilter.cached_for_query(
+            medline_dtd_fixture, MEDLINE_QUERIES["M2"], backend="native",
+        )
+        data = medline_document_small.encode("utf-8")
+        chunks = adversarial_chunks(data, "midtag")
+        reference = plan.session(binary=True, delivery="batched").run([data])
+        snapshot, consumed, head = self._snapshot_at_phase(
+            plan, "batched", chunks, phase
+        )
+        resumed = plan.session(binary=True, delivery="batched")
+        resumed.import_state(dict(snapshot, delivery="pertoken"))
+        tail = resumed.feed(data[consumed:]) + resumed.finish()
+        assert head + tail == reference.output
+        assert _stats_tuple(resumed.stats) == _stats_tuple(reference.stats)
+
+    @pytest.mark.skipif(
+        not accel_available(), reason="repro._accel extension not built"
+    )
+    @pytest.mark.parametrize(
+        ("captured", "restored"),
+        [("batched", "accel"), ("accel", "batched")],
+    )
+    def test_mid_token_snapshot_is_refused_across_deliveries(
+        self, medline_dtd_fixture, medline_document_small, captured, restored,
+    ):
+        plan = SmpPrefilter.cached_for_query(
+            medline_dtd_fixture, MEDLINE_QUERIES["M2"], backend="native",
+        )
+        data = medline_document_small.encode("utf-8")
+        snapshot, _, _ = self._snapshot_at_phase(
+            plan, captured, adversarial_chunks(data, "midtag"), 1
+        )
+        target = plan.session(binary=True, delivery=restored)
+        with pytest.raises(CheckpointError, match="mid-token"):
+            target.import_state(snapshot)
 
     def test_api_session_checkpoint_and_engine_resume(
         self, tmp_path, medline_engine, medline_document_small,
@@ -403,11 +464,13 @@ def test_kill_and_resume_matrix_is_byte_identical():
     recover to byte-identical output and an equal 11-field statistics
     tuple.
     """
-    from repro.workloads.fuzz import run_kill_resume
+    from repro.workloads.fuzz import available_deliveries, run_kill_resume
 
     cases = run_kill_resume(seed=20260807, rounds=1)
     divergences = [d for case in cases for d in case.divergences]
     assert not divergences, "\n".join(
         f"{d.comparison}: {d.detail}" for d in divergences
     )
-    assert sum(case.pairs for case in cases) >= 12
+    # 3 workloads x 2 chunkings per delivery: 12 cells with the extension
+    # built, 6 on the pure path alone.
+    assert sum(case.pairs for case in cases) >= 6 * len(available_deliveries())

@@ -1,27 +1,33 @@
 """Byte-identity of the token-event delivery modes.
 
-The acceptance property of the below-the-interpreter hot path: for every
-delivery mode (``pertoken`` generator reference, ``batched`` flat loop,
-``accel`` C kernel), every backend, and any chunking -- including
-adversarial chunk sizes that split multi-byte UTF-8 sequences, keywords and
-tags -- the projected output and **all** statistics are identical.  The
-same holds for the multi-query shared scan (pure loop vs ``scan_events``
-kernel) and for the flat-array ``collect_chunk_ids`` matcher contract
-against the tuple-based ``collect_chunk`` reference.
+The acceptance property of the below-the-interpreter hot path: for both
+delivery modes (``batched`` pure reference, ``accel`` C kernel), every
+backend, and any chunking -- including adversarial chunk sizes that split
+multi-byte UTF-8 sequences, keywords and tags -- the projected output and
+**all** statistics equal the whole-document ``batched`` run.  The same
+holds for the multi-query shared scan (pure union-pattern loop vs the
+native ``step_events`` stepper), including the native kernel's bail back
+to the pure loop on a transition error.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from repro import SmpPrefilter
-from repro.accel import accel_available
+from repro.accel import accel_available, reset as reset_accel
 from repro.core import multi
-from repro.core.multi import MultiQueryEngine
-from repro.core.runtime import DELIVERIES, resolve_delivery
-from repro.matching.factory import available_backends, make_matcher
+from repro.core.multi import MultiQueryEngine, MultiQuerySession
+from repro.core.runtime import (
+    DELIVERIES,
+    reset_accel_degrade_warning,
+    resolve_delivery,
+)
+from repro.errors import RuntimeFilterError
+from repro.matching.factory import available_backends
 from repro.projection.extraction import QuerySpec
 from repro.workloads.medline import MEDLINE_QUERIES, medline_dtd
 from repro.workloads.medline.generator import generate_medline_document_of_size
@@ -83,27 +89,29 @@ def xmark_corpus():
 
 class TestSingleQueryDeliveries:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batched_matches_pertoken_all_backends(self, medline_corpus, backend):
+    def test_chunked_batched_matches_whole_all_backends(
+        self, medline_corpus, backend
+    ):
         dtd, data = medline_corpus
         plan = SmpPrefilter.compile_for_query(
             dtd, MEDLINE_QUERIES["M2"], backend=backend
         )
+        reference = plan.session(binary=True, delivery="batched")
+        expected = reference.feed(data) + reference.finish()
         for sizes in CHUNKINGS:
-            reference = plan.session(binary=True, delivery="pertoken")
-            expected = feed_all(reference, data, sizes, random.Random(3))
             batched = plan.session(binary=True, delivery="batched")
             assert feed_all(batched, data, sizes, random.Random(3)) == expected
             assert stats_tuple(batched.stats) == stats_tuple(reference.stats)
 
     @accel_only
     @pytest.mark.parametrize("chunking", CHUNKINGS, ids=str)
-    def test_accel_matches_pertoken(self, medline_corpus, chunking):
+    def test_accel_matches_batched(self, medline_corpus, chunking):
         dtd, data = medline_corpus
         plan = SmpPrefilter.compile_for_query(
             dtd, MEDLINE_QUERIES["M2"], backend="native"
         )
-        reference = plan.session(binary=True, delivery="pertoken")
-        expected = feed_all(reference, data, chunking, random.Random(5))
+        reference = plan.session(binary=True, delivery="batched")
+        expected = reference.feed(data) + reference.finish()
         accel = plan.session(binary=True, delivery="accel")
         assert accel.delivery == "accel"
         assert feed_all(accel, data, chunking, random.Random(5)) == expected
@@ -117,8 +125,8 @@ class TestSingleQueryDeliveries:
         ):
             for spec in queries.values():
                 plan = SmpPrefilter.compile_for_query(dtd, spec, backend="native")
-                reference = plan.session(binary=True, delivery="pertoken")
-                expected = feed_all(reference, data, [17, 63], random.Random(7))
+                reference = plan.session(binary=True, delivery="batched")
+                expected = reference.feed(data) + reference.finish()
                 accel = plan.session(binary=True, delivery="accel")
                 assert feed_all(accel, data, [17, 63], random.Random(7)) == expected
                 assert stats_tuple(accel.stats) == stats_tuple(reference.stats)
@@ -136,40 +144,39 @@ class TestSingleQueryDeliveries:
             assert session.delivery == "batched"
 
     def test_resolve_delivery_contract(self):
-        assert resolve_delivery("pertoken") == "pertoken"
         assert resolve_delivery("batched") == "batched"
         assert resolve_delivery(None) in ("accel", "batched")
         assert resolve_delivery("accel") in ("accel", "batched")
         with pytest.raises(ValueError):
             resolve_delivery("bogus")
-        assert set(DELIVERIES) == {"batched", "accel", "pertoken"}
+        assert DELIVERIES == ("batched", "accel")
 
-    def test_repro_delivery_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELIVERY", "pertoken")
-        assert resolve_delivery(None) == "pertoken"
-        monkeypatch.setenv("REPRO_DELIVERY", "batched")
-        assert resolve_delivery(None) == "batched"
-        monkeypatch.setenv("REPRO_DELIVERY", "accel")
-        assert resolve_delivery(None) in ("accel", "batched")
-        # An explicit delivery argument always wins over the environment.
-        monkeypatch.setenv("REPRO_DELIVERY", "pertoken")
-        assert resolve_delivery("batched") == "batched"
-        # The empty string means "unset", matching REPRO_PURE's convention.
-        monkeypatch.setenv("REPRO_DELIVERY", "")
-        assert resolve_delivery(None) in ("accel", "batched")
-        monkeypatch.setenv("REPRO_DELIVERY", "bogus")
-        with pytest.raises(ValueError, match="REPRO_DELIVERY"):
-            resolve_delivery(None)
-
-    def test_repro_delivery_reaches_sessions(self, medline_corpus, monkeypatch):
+    def test_repro_pure_reaches_sessions(self, medline_corpus, monkeypatch):
+        """``REPRO_PURE=1`` is the one environment switch: every session,
+        single-query or shared, even one asking for ``accel``, runs the
+        pure reference."""
         dtd, data = medline_corpus
         plan = SmpPrefilter.compile_for_query(
             dtd, MEDLINE_QUERIES["M2"], backend="native"
         )
-        monkeypatch.setenv("REPRO_DELIVERY", "pertoken")
-        assert plan.session(binary=True).delivery == "pertoken"
         engine = MultiQueryEngine(dtd, [MEDLINE_QUERIES["M2"]], backend="native")
-        assert engine.session(binary=True).delivery == "pertoken"
+        reference = plan.session(binary=True, delivery="batched")
+        expected = reference.feed(data) + reference.finish()
+        monkeypatch.setenv("REPRO_PURE", "1")
+        reset_accel()
+        reset_accel_degrade_warning()
+        try:
+            assert resolve_delivery(None) == "batched"
+            assert plan.session(binary=True).delivery == "batched"
+            assert engine.session(binary=True).delivery == "batched"
+            with pytest.warns(RuntimeWarning, match="not importable"):
+                forced = plan.session(binary=True, delivery="accel")
+            assert forced.delivery == "batched"
+            assert forced.feed(data) + forced.finish() == expected
+            assert forced.stats.accel_degraded
+        finally:
+            # The probe is lazy: it re-reads the restored environment.
+            reset_accel()
 
 
 class TestMultiQueryDeliveries:
@@ -207,23 +214,27 @@ class TestMultiQueryDeliveries:
         assert accelerated[3] == "accel" and reference[3] == "batched"
         assert accelerated[:3] == reference[:3]
 
-    @accel_only
-    @pytest.mark.parametrize("delivery", ("batched", "accel"))
+    @pytest.mark.parametrize(
+        "delivery", ("batched", pytest.param("accel", marks=accel_only))
+    )
     @pytest.mark.parametrize("chunking", CHUNKINGS, ids=str)
-    def test_multi_deliveries_match_pertoken(self, medline_corpus, chunking, delivery):
-        """Every shared-scan tier reproduces the per-token reference exactly:
-        outputs, all eleven per-stream statistics, and the union scan stats."""
+    def test_multi_deliveries_match_whole_batched(
+        self, medline_corpus, chunking, delivery
+    ):
+        """Both shared-scan tiers reproduce the whole-document pure run
+        exactly: outputs, all eleven per-stream statistics, and the union
+        scan stats."""
         dtd, data = medline_corpus
         engine = MultiQueryEngine(
             dtd, list(MEDLINE_QUERIES.values()), backend="native"
         )
         reference = self.multi_outputs(
-            engine, data, chunking, random.Random(11), "pertoken"
+            engine, data, [len(data)], random.Random(11), "batched"
         )
         subject = self.multi_outputs(
             engine, data, chunking, random.Random(11), delivery
         )
-        assert reference[3] == "pertoken" and subject[3] == delivery
+        assert reference[3] == "batched" and subject[3] == delivery
         assert subject[:3] == reference[:3]
 
     @accel_only
@@ -251,7 +262,7 @@ class TestMultiQueryDeliveries:
                 stats_tuple(session.scan_stats),
             )
 
-        assert run("accel") == run("batched") == run("pertoken")
+        assert run("accel") == run("batched")
 
     @accel_only
     def test_generated_64_query_stress(self, medline_corpus):
@@ -261,7 +272,8 @@ class TestMultiQueryDeliveries:
         the first 64 that compile run as one shared session, stressing the
         widest step tables and span batches the suite produces (the span
         buffer can overflow mid-token-event, exercising the SPANS_FULL
-        resume).  Output and statistics must match the per-token loop.
+        resume).  Output and statistics must match the whole-document pure
+        loop.
         """
         dtd, data = medline_corpus
         specs = []
@@ -286,10 +298,10 @@ class TestMultiQueryDeliveries:
                 break
         assert len(specs) == 64, "the MEDLINE DTD no longer yields 64 queries"
         engine = MultiQueryEngine(dtd, specs, backend="native")
+        reference = self.multi_outputs(
+            engine, data, [len(data)], random.Random(13), "batched"
+        )
         for chunking in ([17, 63], [65536]):
-            reference = self.multi_outputs(
-                engine, data, chunking, random.Random(13), "pertoken"
-            )
             for delivery in ("batched", "accel"):
                 subject = self.multi_outputs(
                     engine, data, chunking, random.Random(13), delivery
@@ -368,51 +380,44 @@ class TestMultiQueryDeliveries:
                 stats_tuple(session.scan_stats),
             )
 
-        assert run("accel") == run("batched") == run("pertoken")
+        assert run("accel") == run("batched")
 
+    @accel_only
+    def test_native_bail_replays_in_pure_loop(self, medline_corpus, monkeypatch):
+        """A transition the native step tables cannot take (``STEP_BAIL``).
 
-class TestCollectChunkIds:
-    KEYWORD_SETS = (
-        ("<MedlineCitation",),
-        ("<Abstract", "<AbstractText", "</Abstract"),
-        ("<a", "<ab", "<abc", "</a"),
-    )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("keywords", KEYWORD_SETS, ids=lambda kws: str(len(kws)))
-    def test_ids_stream_matches_tuple_stream(self, backend, keywords):
-        byte_keywords = tuple(keyword.encode() for keyword in keywords)
-        text = (
-            b'<ab x="1"><abc><a></a><Abstract><AbstractText a="v>w"/>'
-            b"</Abstract><MedlineCitation>t</MedlineCitation>" * 40
+        An empty first citation makes a bachelor ``<MedlineCitation/>``
+        whose closing transition the DTD forbids.  The native kernel stops
+        before mutating any stream and hands the event to the pure loop,
+        which must raise exactly the error the pure delivery raises.
+        """
+        dtd, data = medline_corpus
+        broken = re.sub(
+            rb"<MedlineCitation[ >].*?</MedlineCitation>",
+            b"<MedlineCitation/>", data, count=1, flags=re.DOTALL,
         )
-        for chunk in (256, 4096):
-            reference = make_matcher(byte_keywords, backend=backend)
-            subject = make_matcher(byte_keywords, backend=backend)
-            position = 0
-            out = None
-            while position < len(text):
-                end = min(len(text), position + chunk)
-                at_eof = end == len(text)
-                window = text[:end]
-                hits, resume = reference.collect_chunk(
-                    window, 0, position, end, at_eof=at_eof
-                )
-                events, count, id_resume = subject.collect_chunk_ids(
-                    window, 0, position, end, at_eof=at_eof, out=out
-                )
-                out = events  # exercise the reuse contract
-                assert id_resume == resume
-                decoded = [
-                    (events[2 * i], byte_keywords[events[2 * i + 1]])
-                    for i in range(count)
-                ]
-                assert decoded == hits
-                position = resume
-            assert (
-                subject.stats.snapshot() if hasattr(subject.stats, "snapshot")
-                else vars(subject.stats)
-            ) == (
-                reference.stats.snapshot() if hasattr(reference.stats, "snapshot")
-                else vars(reference.stats)
-            )
+        assert broken != data
+        engine = MultiQueryEngine(
+            dtd, list(MEDLINE_QUERIES.values()), backend="native"
+        )
+        pure_calls = []
+        real_pure = MultiQuerySession._process_pure
+
+        def counting_pure(session):
+            pure_calls.append(session.delivery)
+            return real_pure(session)
+
+        monkeypatch.setattr(MultiQuerySession, "_process_pure", counting_pure)
+        errors = {}
+        for delivery in ("accel", "batched"):
+            session = engine.session(binary=True, delivery=delivery)
+            assert session.delivery == delivery
+            with pytest.raises(RuntimeFilterError) as caught:
+                session.feed(broken)
+                session.finish()
+            errors[delivery] = (type(caught.value), str(caught.value))
+        assert errors["accel"] == errors["batched"]
+        assert "no transition from runtime state" in errors["accel"][1]
+        assert "</MedlineCitation> (input offset 20)" in errors["accel"][1]
+        # The native session entered the pure loop exactly once: the bail.
+        assert pure_calls.count("accel") == 1

@@ -7,8 +7,9 @@ done to a document, the filter must never hang, never emit bytes a clean
 run would not emit, and must fail with a :class:`~repro.errors.ReproError`
 whose position (when it carries one) lies inside the input.  The outcome
 -- projected bytes on success, error class on failure -- must further be
-*identical* across every token-event delivery mode, every matcher backend
-and every chunking, from 1-byte feeds to 64 KiB streaming chunks.
+*identical* to the whole-document ``batched`` run across every token-event
+delivery mode, every matcher backend and every chunking, from 1-byte feeds
+to 64 KiB streaming chunks.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ CHUNKINGS = ([1], [17, 63], [4096], [65536])
 
 
 def _deliveries() -> tuple[str, ...]:
-    if accel_available():
-        return DELIVERIES
-    return tuple(d for d in DELIVERIES if d != "accel")
+    return DELIVERIES if accel_available() else ("batched",)
 
 
 def _corrupt(data: bytes, corruption: str, seed: int) -> bytes:
@@ -90,6 +89,10 @@ class TestCorruptedDocumentsAcrossDeliveries:
     ):
         damaged = _corrupt(base_document, corruption, seed)
         plan = plans["native"]
+        reference = _feed_all(
+            plan.session(binary=True, delivery="batched"), damaged,
+            [max(1, len(damaged))], random.Random(seed),
+        )
         outcomes = []
         for delivery in _deliveries():
             for sizes in CHUNKINGS:
@@ -97,9 +100,8 @@ class TestCorruptedDocumentsAcrossDeliveries:
                 outcomes.append(
                     _feed_all(session, damaged, sizes, random.Random(seed))
                 )
-        first = outcomes[0]
-        assert all(outcome == first for outcome in outcomes), (
-            corruption, seed, {o[0] for o in outcomes}
+        assert all(outcome == reference for outcome in outcomes), (
+            corruption, seed, reference[0], {o[0] for o in outcomes}
         )
 
     @settings(max_examples=8, deadline=None)

@@ -21,6 +21,7 @@ import pytest
 from repro.matching.aho_corasick import AhoCorasickMatcher
 from repro.matching.commentz_walter import CommentzWalterMatcher
 from repro.matching.dispatch import KeywordDispatcher, trie_regex
+from repro.matching.factory import available_backends, make_matcher
 from repro.matching.naive import NaiveMatcher, NaiveMultiMatcher
 from repro.matching.native import NativeMultiMatcher, NativeSingleMatcher
 
@@ -30,6 +31,16 @@ MULTI_CLASSES = [
     NaiveMultiMatcher,
     NativeMultiMatcher,
 ]
+
+BACKENDS = tuple(available_backends())
+
+#: A unary vocabulary (single-keyword matchers), tag keywords that share a
+#: prefix, and a chain of shadowed prefixes of one another.
+BYTE_KEYWORD_SETS = (
+    (b"<MedlineCitation",),
+    (b"<Abstract", b"<AbstractText", b"</Abstract"),
+    (b"<a", b"<ab", b"<abc", b"</a"),
+)
 
 _ALPHABET = "ab<c/"
 
@@ -169,6 +180,41 @@ class TestCollectChunk:
         matcher = NativeMultiMatcher(["<a", "<ab"])
         matcher.collect_chunk("<ab<a<ab", 0, 0, 8, at_eof=True)
         assert matcher.stats.searches == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "keywords", BYTE_KEYWORD_SETS, ids=lambda kws: str(len(kws))
+    )
+    def test_byte_stream_windows_match_brute_force(self, backend, keywords):
+        """Every backend, unary and multi-keyword, over a growing byte
+        buffer: the chunked hits equal the whole-document enumeration, and
+        matchers fed identical windows count identical statistics."""
+        text = (
+            b'<ab x="1"><abc><a></a><Abstract><AbstractText a="v>w"/>'
+            b"</Abstract><MedlineCitation>t</MedlineCitation>" * 40
+        )
+        expected = brute_force_hits(text, keywords)
+        for chunk in (256, 4096):
+            matchers = [make_matcher(keywords, backend=backend) for _ in "ab"]
+            collected = []
+            position = 0
+            while position < len(text):
+                end = min(len(text), position + chunk)
+                at_eof = end == len(text)
+                window = text[:end]
+                results = [
+                    matcher.collect_chunk(window, 0, position, end, at_eof=at_eof)
+                    for matcher in matchers
+                ]
+                assert results[0] == results[1]
+                hits, resume = results[0]
+                assert position <= resume <= end
+                assert all(position <= hit < resume for hit, _ in hits)
+                collected.extend(hits)
+                position = resume
+            assert collected == expected
+            first, second = (vars(matcher.stats) for matcher in matchers)
+            assert first == second
 
 
 class TestKeywordDispatcher:
