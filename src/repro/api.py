@@ -84,6 +84,7 @@ from repro.core.sources import (
     socket_chunks,
     split_documents,
     split_jsonl,
+    split_spans,
     stdin_chunks,
 )
 from repro.core.stats import CompilationStatistics, RunStatistics
@@ -155,6 +156,9 @@ class Source:
         self.repeatable = repeatable
         self._consumed = False
         self._documents: Callable[[], Iterator] | None = None
+        #: The in-memory stream of a ``from_bytes`` source, and of a
+        #: ``from_records`` corpus over one (its span payloads index it).
+        self._buffer = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Source(kind={self.kind!r}, repeatable={self.repeatable})"
@@ -205,13 +209,15 @@ class Source:
         align_utf8: bool = False,
     ) -> "Source":
         """An in-memory UTF-8 byte document; one chunk unless sliced."""
-        return cls(
+        self = cls(
             lambda: contextlib.nullcontext(
                 _aligned(_sliced(data, chunk_size), align_utf8)
             ),
             kind="bytes",
             repeatable=True,
         )
+        self._buffer = data
+        return self
 
     @classmethod
     def from_file(
@@ -404,20 +410,40 @@ class Source:
         ``source`` (a :class:`Source` or any raw value :meth:`of`
         understands) carries many complete documents back to back; the
         stream is split at each ``end_tag`` (the records' closing root tag,
-        e.g. ``b"</MedlineCitationSet>"``) into one in-memory document blob
-        per record -- the unit the parallel engine shards across workers.
-        One-shot unless the underlying source is repeatable.
+        e.g. ``b"</MedlineCitationSet>"``) into one document per record --
+        the unit the parallel engine shards across workers.  One-shot
+        unless the underlying source is repeatable.
+
+        A stream already in memory (a bytes-like ``source`` or a
+        :meth:`from_bytes` source) is split in place into ``("span",
+        start, end)`` payloads: no record is copied, and the workers of a
+        ``fork``-started parallel engine read each record straight from
+        the stream they inherited.  Where a worker cannot see the stream
+        (the ``spawn`` start method, a caller-supplied worker pool) a
+        span is copied into a ``("blob", bytes)`` payload as it is
+        submitted.  Every other source (text, files, iterables) is split
+        into blobs as it is read.
         """
         raw = cls.of(source, chunk_size=chunk_size)
+        buffer = raw._buffer
 
-        def documents():
-            with raw.open() as chunks:
-                for index, blob in enumerate(split_documents(chunks, end_tag)):
-                    yield f"record[{index}]", ("blob", blob)
+        if buffer is not None:
+            def documents():
+                spans = split_spans(buffer, end_tag)
+                for index, (start, end) in enumerate(spans):
+                    yield f"record[{index}]", ("span", start, end)
+        else:
+            def documents():
+                with raw.open() as chunks:
+                    blobs = split_documents(chunks, end_tag)
+                    for index, blob in enumerate(blobs):
+                        yield f"record[{index}]", ("blob", blob)
 
-        return cls._corpus(
+        corpus = cls._corpus(
             documents, kind="corpus-records", repeatable=raw.repeatable
         )
+        corpus._buffer = buffer
+        return corpus
 
     @classmethod
     def from_jsonl(
@@ -469,8 +495,13 @@ class Source:
         """The corpus work items: ``(name, payload)`` per document.
 
         ``payload`` is the picklable descriptor the parallel workers
-        resolve back to a per-document source (``("path", path,
-        chunk_size)`` or ``("blob", bytes)``).  Non-corpus sources raise.
+        resolve back to a per-document source: ``("path", path,
+        chunk_size)`` for :meth:`from_paths`/:meth:`from_dir`, ``("span",
+        start, end)`` for :meth:`from_records` over an in-memory stream
+        (offsets into that stream, which the engine hands its workers;
+        it falls back to a blob where a worker cannot see the stream) and
+        ``("blob", bytes)`` for every other record or JSONL source.
+        Non-corpus sources raise.
         """
         if self._documents is None:
             raise ReproError(f"{self.kind} source is not a corpus")
@@ -1345,6 +1376,7 @@ class Engine:
                     retry=retry,
                     on_error=on_error,
                     deadline=deadline,
+                    _buffer=source._buffer,
                 )
             empty_value = b"" if resolved_binary else ""
             for outcome in outcomes:
@@ -1438,7 +1470,7 @@ class Engine:
                               if 0 <= index < len(items))
         fresh = iter(parallel.execute_corpus(
             self, todo, jobs=jobs, retry=retry, on_error=on_error,
-            deadline=deadline,
+            deadline=deadline, _buffer=source._buffer,
         )) if todo else iter(())
         next_fresh = next(fresh, None)
         replay_at = 0

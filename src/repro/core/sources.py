@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import codecs
 import errno
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -476,6 +477,26 @@ def iter_byte_chunks(
 # ----------------------------------------------------------------------
 # Document-boundary splitting of concatenated record streams
 # ----------------------------------------------------------------------
+#: The bytes ``bytes.strip()`` removes, and a run of them matched in place.
+_SPACE = b" \t\n\r\x0b\x0c"
+_SPACE_RUN = re.compile(b"[%s]*" % re.escape(_SPACE))
+
+
+def _end_tag_bytes(end_tag: "bytes | str") -> bytes:
+    tag = end_tag.encode("utf-8") if isinstance(end_tag, str) else bytes(end_tag)
+    if not tag:
+        raise ValueError("end_tag must be non-empty")
+    return tag
+
+
+def _stripped(data, start: int, end: int) -> tuple[int, int]:
+    """``data[start:end].strip()`` as offsets into ``data``, copying nothing."""
+    start = _SPACE_RUN.match(data, start, end).end()
+    while end > start and data[end - 1] in _SPACE:
+        end -= 1
+    return start, end
+
+
 def split_documents(
     chunks: "Iterable[bytes | str]", end_tag: "bytes | str"
 ) -> Iterator[bytes]:
@@ -486,15 +507,13 @@ def split_documents(
     ``b"</MedlineCitationSet>"``).  This generator re-chunks such a stream
     into one ``bytes`` blob per document -- the corpus unit the parallel
     engine shards across workers -- holding only the current document's
-    bytes plus one chunk in memory.
+    bytes plus one chunk in memory.  Each record is copied out once.
 
     Inter-document whitespace is stripped; trailing non-whitespace after
     the last ``end_tag`` is yielded as a final (possibly malformed) record
     so the filter reports it instead of silently dropping input.
     """
-    tag = end_tag.encode("utf-8") if isinstance(end_tag, str) else bytes(end_tag)
-    if not tag:
-        raise ValueError("end_tag must be non-empty")
+    tag = _end_tag_bytes(end_tag)
     buffer = bytearray()
     scanned = 0
     for chunk in chunks:
@@ -509,14 +528,51 @@ def split_documents(
                 scanned = max(0, len(buffer) - len(tag) + 1)
                 break
             cut = found + len(tag)
-            record = bytes(buffer[:cut]).lstrip()
+            start = _SPACE_RUN.match(buffer, 0, cut).end()
+            with memoryview(buffer) as view:
+                record = view[start:cut].tobytes()
             del buffer[:cut]
             scanned = 0
-            if record:
+            if record:  # empty only when the end tag is whitespace itself
                 yield record
-    tail = bytes(buffer).strip()
-    if tail:
+    start, end = _stripped(buffer, 0, len(buffer))
+    if start < end:
+        with memoryview(buffer) as view:
+            tail = view[start:end].tobytes()
         yield tail
+
+
+def split_spans(data, end_tag: "bytes | str") -> Iterator[tuple[int, int]]:
+    """The records of an in-memory stream as ``(start, end)`` offsets.
+
+    The zero-copy twin of :func:`split_documents` for a stream already in
+    memory (``bytes``, ``bytearray`` or ``memoryview``): record for record,
+    ``data[start:end]`` is the blob :func:`split_documents` yields over
+    any chunking of ``data``, with the same whitespace stripping and the
+    same trailing-garbage record, but nothing is copied.
+    """
+    tag = _end_tag_bytes(end_tag)
+    find = getattr(data, "find", None)
+    if find is None:  # a memoryview: search it in place
+        search = re.compile(re.escape(tag)).search
+
+        def find(_tag, position):
+            match = search(data, position)
+            return -1 if match is None else match.start()
+
+    position = 0
+    while True:
+        found = find(tag, position)
+        if found < 0:
+            break
+        cut = found + len(tag)
+        start = _SPACE_RUN.match(data, position, cut).end()
+        if start < cut:
+            yield start, cut
+        position = cut
+    start, end = _stripped(data, position, len(data))
+    if start < end:
+        yield start, end
 
 
 def split_jsonl(chunks: "Iterable[bytes | str]") -> Iterator[bytes]:

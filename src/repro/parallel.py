@@ -12,7 +12,7 @@ persistent pool of worker processes:
   inherited for free; under ``spawn`` the spec is pickled and recompiled).
 * :class:`WorkerPool` -- ``jobs`` persistent worker processes, each with
   its own task queue (sticky routing for serving sessions) and a shared
-  result queue drained by a collector thread that resolves
+  result pipe drained by a collector thread that resolves
   :class:`concurrent.futures.Future` objects in the parent.
 * :func:`execute_corpus` -- the corpus driver: submits one task per
   document (bounded in-flight, so record-split corpora stream), and yields
@@ -26,7 +26,11 @@ persistent pool of worker processes:
 
 Inside each worker, document ingestion runs the zero-copy path: one
 recycled :class:`~repro.core.sources.BufferPool` buffer per worker is
-filled via ``readinto`` and fed borrowed to the byte-native session.
+filled via ``readinto`` and fed borrowed to the byte-native session.  A
+record stream already in memory is not shipped at all: its records cross
+the process boundary as ``("span", start, end)`` offsets, and the workers,
+forked with the stream as a ``Process`` argument, read each record from
+their inherited copy (see :func:`execute_corpus`).
 
 The user-facing surface is :class:`repro.api.Engine` with
 ``mode="parallel"`` (and ``python -m repro --jobs N``); this module is the
@@ -48,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import multiprocessing
+from multiprocessing.reduction import ForkingPickler
 
 from repro import faults
 from repro.core.sources import BufferPool, RetryPolicy, is_transient
@@ -236,12 +241,13 @@ class DocumentOutcome:
     failure: DocumentFailure | None = None
 
 
-def _document_payload_source(payload, pools: dict[int, BufferPool]):
+def _document_payload_source(payload, pools: dict[int, BufferPool], buffer):
     """Resolve a picklable document descriptor to a :class:`repro.api.Source`.
 
     Path documents are read with the chunk size their corpus source
     recorded in the payload, through a recycled buffer pool of exactly
-    that size (one pool per distinct chunk size per worker).
+    that size (one pool per distinct chunk size per worker).  Span
+    documents are a window on ``buffer``, the record stream they index.
     """
     from repro import api
 
@@ -254,12 +260,38 @@ def _document_payload_source(payload, pools: dict[int, BufferPool]):
         return api.Source.from_file(path, chunk_size=chunk_size, pool=pool)
     if kind == "blob":
         return api.Source.from_bytes(payload[1])
+    if kind == "span":
+        return api.Source.from_bytes(_span_view(payload, buffer))
     raise ReproError(f"unknown document payload kind {kind!r}")
 
 
-def _run_document(engine, payload, pools: dict[int, BufferPool]):
+def _span_view(payload, buffer) -> memoryview:
+    """The record a ``("span", start, end)`` payload names, in place."""
+    if buffer is None:
+        raise ReproError(
+            "a span payload indexes an in-memory record stream; run "
+            "Source.from_records corpora through Engine.run"
+        )
+    _, start, end = payload
+    return memoryview(buffer)[start:end]
+
+
+def _shippable(payload, buffer, pool: "WorkerPool"):
+    """``payload`` in a form ``pool``'s workers can resolve.
+
+    Workers forked with ``buffer`` read a span in place; for any other
+    pool (a non-``fork`` start method, a borrowed pool built without the
+    stream) this is the one place a span is copied into a blob.
+    """
+    if payload[0] != "span" or (buffer is not None
+                                and pool._buffer is buffer):
+        return payload
+    return ("blob", _span_view(payload, buffer).tobytes())
+
+
+def _run_document(engine, payload, pools: dict[int, BufferPool], buffer):
     """Filter one document; returns the (outputs, stats, scan_stats) triple."""
-    source = _document_payload_source(payload, pools)
+    source = _document_payload_source(payload, pools, buffer)
     run = engine.run(source, binary=True)
     return (
         [result.output for result in run.results],
@@ -297,14 +329,15 @@ def _worker_error(description) -> ParallelExecutionError:
 # Worker process
 # ----------------------------------------------------------------------
 def _worker_main(spec: EngineSpec, tasks, results,
-                 fault_plan=None, worker_uid: int = 0) -> None:
+                 fault_plan=None, worker_uid: int = 0, buffer=None) -> None:
     """Worker loop: build the engine once, execute commands until sentinel.
 
     ``fault_plan`` is the :class:`repro.faults.FaultPlan` armed in the
     parent when the pool was created (``None`` in production): armed here
     with a per-worker scope so every worker -- including respawned ones,
     which get a fresh ``worker_uid`` -- draws its own deterministic fault
-    sequence.
+    sequence.  ``buffer`` is the record stream span payloads index,
+    inherited at fork.
     """
     if fault_plan is not None:
         faults.arm(fault_plan, scope=f"worker-{worker_uid}")
@@ -322,7 +355,7 @@ def _worker_main(spec: EngineSpec, tasks, results,
             if kind == _DOC:
                 _, request_id, name, payload = command
                 results.put((request_id, True, _run_document(
-                    engine, payload, pools
+                    engine, payload, pools, buffer
                 )))
             elif kind == _OPEN:
                 _, request_id, session_id, binary = command
@@ -349,6 +382,46 @@ def _worker_main(spec: EngineSpec, tasks, results,
 # ----------------------------------------------------------------------
 # The pool
 # ----------------------------------------------------------------------
+class _ResultPipe:
+    """The one channel all workers send their replies up to the collector.
+
+    Unlike a ``multiprocessing.Queue`` it has no feeder thread: the sending
+    thread pickles and writes each message whole, under the lock, before it
+    goes on.  So a worker that dies between commands (an injected crash, a
+    segfault in its next document) never leaves the shared lock held or a
+    message half written, which would stall every other worker's replies;
+    and a reply leaves as soon as it is ready, not when a feeder thread
+    next wins the GIL from the worker's next document.
+    """
+
+    def __init__(self, context) -> None:
+        self._reader, self._writer = context.Pipe(duplex=False)
+        self._lock = context.Lock()
+
+    def put(self, message) -> None:
+        data = ForkingPickler.dumps(message)
+        with self._lock:
+            self._writer.send_bytes(data)
+
+    def wake(self) -> None:
+        """Send the reader a ``None``, once every worker has exited.
+
+        Without the lock: no writer is left to interleave with, and a
+        worker killed mid-write may have left the lock held.
+        """
+        self._writer.send_bytes(ForkingPickler.dumps(None))
+
+    def get(self, timeout: float):
+        """The next message; ``queue.Empty`` after ``timeout`` seconds."""
+        if not self._reader.poll(timeout):
+            raise queue.Empty
+        return ForkingPickler.loads(self._reader.recv_bytes())
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
 class _Worker:
     """Parent-side handle of one worker process."""
 
@@ -371,7 +444,7 @@ class WorkerPool:
     tasks (:meth:`submit_document`) or long-lived streaming sessions
     (:meth:`open_session`).  One task queue per worker gives sticky routing
     (a session's commands always reach its worker, in order); one shared
-    result queue feeds a collector thread that resolves the returned
+    result pipe feeds a collector thread that resolves the returned
     futures.  Use as a context manager, or call :meth:`close` /
     :meth:`terminate`.
 
@@ -396,6 +469,7 @@ class WorkerPool:
         start_method: str | None = None,
         supervise: bool = True,
         shutdown_timeout: float = 30.0,
+        _buffer=None,
     ) -> None:
         if jobs < 1:
             raise QueryError(f"a worker pool needs jobs >= 1, got {jobs}")
@@ -407,7 +481,12 @@ class WorkerPool:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self._context = multiprocessing.get_context(start_method)
-        self._results = self._context.Queue()
+        # The record stream span payloads index: a Process argument, which
+        # fork hands every worker (respawned ones too) without pickling.
+        # Other start methods would pickle it per worker, so their pools go
+        # without and receive spans as blobs.
+        self._buffer = _buffer if start_method == "fork" else None
+        self._results = _ResultPipe(self._context)
         self._lock = threading.Lock()
         self._futures: dict[int, tuple] = {}
         self._request_ids = itertools.count()
@@ -432,7 +511,8 @@ class WorkerPool:
         tasks = self._context.Queue()
         process = self._context.Process(
             target=_worker_main,
-            args=(self.spec, tasks, self._results, self._fault_plan, uid),
+            args=(self.spec, tasks, self._results, self._fault_plan, uid,
+                  self._buffer),
             daemon=True,
             name=f"repro-filter-worker-{identifier}",
         )
@@ -611,7 +691,7 @@ class WorkerPool:
         for worker in self._workers:
             worker.tasks.put(None)
         self._escalate(self._shutdown_timeout)
-        self._results.put(None)
+        self._results.wake()
         self._collector.join(timeout=5)
         self._fail_outstanding("the worker pool was closed")
         self._release_queues()
@@ -627,7 +707,7 @@ class WorkerPool:
                 return
             self._closed = True
         self._escalate(0.0)
-        self._results.put(None)
+        self._results.wake()
         self._collector.join(timeout=5)
         self._fail_outstanding("the worker pool was terminated")
         self._release_queues()
@@ -670,7 +750,6 @@ class WorkerPool:
             worker.tasks.close()
             worker.tasks.cancel_join_thread()
         self._results.close()
-        self._results.cancel_join_thread()
 
     def _fail_outstanding(self, reason: str) -> None:
         with self._lock:
@@ -770,11 +849,17 @@ def execute_corpus(
     retry: RetryPolicy | None = None,
     on_error: str = "raise",
     deadline: float | None = None,
+    _buffer=None,
 ) -> Iterator[DocumentOutcome]:
     """Shard ``documents`` across ``jobs`` workers; yield outcomes in order.
 
     ``documents`` yields ``(name, payload)`` work items (see
-    ``Source.documents``).  Results are yielded strictly in corpus order --
+    ``Source.documents``); ``("span", start, end)`` payloads index the
+    in-memory record stream :meth:`repro.api.Engine.run` passes along
+    privately.  An owned pool's forked workers inherit that stream and
+    read spans in place; a borrowed ``pool`` built without it, or one
+    whose workers were not forked, gets each span copied into a blob as
+    it is submitted.  Results are yielded strictly in corpus order --
     a late-finishing early document holds back later ones (the
     order-preserving merge) -- while submission stays ahead by a bounded
     in-flight window, so workers never idle waiting for the merge.
@@ -809,12 +894,13 @@ def execute_corpus(
     _check_on_error(on_error)
     if pool is None and jobs <= 1:
         yield from _execute_in_process(
-            engine, documents, retry=retry, on_error=on_error
+            engine, documents, retry=retry, on_error=on_error,
+            buffer=_buffer,
         )
         return
     owned = pool is None
     if owned:
-        pool = WorkerPool(engine, jobs)
+        pool = WorkerPool(engine, jobs, _buffer=_buffer)
     try:
         # Entries are [index, name, payload, future, attempts]; the payload
         # is kept so a transient failure can be resubmitted.
@@ -829,6 +915,7 @@ def execute_corpus(
                 except StopIteration:
                     exhausted = True
                     break
+                payload = _shippable(payload, _buffer, pool)
                 pending.append(
                     [index, name, payload,
                      pool.submit_document(name, payload), 1]
@@ -919,6 +1006,7 @@ def _execute_in_process(
     *,
     retry: RetryPolicy | None = None,
     on_error: str = "raise",
+    buffer=None,
 ) -> Iterator[DocumentOutcome]:
     """The ``jobs=1`` fallback: same semantics, current process, no pickling."""
     _check_on_error(on_error)
@@ -937,7 +1025,7 @@ def _execute_in_process(
         while True:
             try:
                 outputs, stats, scan_stats = _run_document(
-                    built, payload, pools
+                    built, payload, pools, buffer
                 )
                 outcome = DocumentOutcome(
                     index=index, name=name, outputs=outputs, stats=stats,

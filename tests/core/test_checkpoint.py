@@ -452,6 +452,83 @@ class TestCorpusJournalChaos:
             )
 
 
+    def test_sigkill_mid_record_stream_then_parallel_resume_replays_once(
+        self, tmp_path, medline_dtd_fixture, monkeypatch,
+    ):
+        """A journal over ``from_records`` spans: the killed run and the
+        resumed one split the same stream, so journaled records replay
+        and only the rest are filtered again, each exactly once."""
+        from repro import parallel
+        from repro.workloads.medline import generate_medline_document
+
+        queries = [
+            _medline_query("M2", medline_dtd_fixture),
+            _medline_query("M4", medline_dtd_fixture),
+        ]
+        stream = b"\n".join(
+            generate_medline_document(citations=6 + index, seed=70 + index)
+            .encode("utf-8")
+            for index in range(6)
+        ) + b"\n"
+        journal = str(tmp_path / "records.journal")
+
+        def records():
+            return api.Source.from_records(
+                stream, end_tag=b"</MedlineCitationSet>"
+            )
+
+        reference = api.Engine(queries).run(records(), binary=True)
+
+        def victim():
+            real_record = CorpusJournal.record
+            state = {"committed": 0}
+
+            def record(self, *args, **kwargs):
+                real_record(self, *args, **kwargs)
+                state["committed"] += 1
+                if state["committed"] >= 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            CorpusJournal.record = record
+            api.Engine(queries).run(records(), binary=True, journal=journal)
+
+        child = multiprocessing.get_context("fork").Process(target=victim)
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == -signal.SIGKILL
+
+        resumed_journal = CorpusJournal.resume(
+            journal, api.Engine(queries)._query_fingerprints(), True,
+        )
+        committed = set(resumed_journal.completed)
+        resumed_journal.close()
+        assert len(committed) >= 3
+
+        submitted = []
+        submit = parallel.WorkerPool.submit_document
+
+        def counting_submit(self, name, payload):
+            submitted.append((name, payload[0]))
+            return submit(self, name, payload)
+
+        monkeypatch.setattr(parallel.WorkerPool, "submit_document",
+                            counting_submit)
+        resumed = api.Engine(queries, mode="parallel", jobs=2).run(
+            records(), binary=True, journal=journal,
+        )
+        assert sorted(submitted) == [
+            (f"record[{index}]", "span")
+            for index in range(6) if index not in committed
+        ]
+        assert [document.name for document in resumed.documents] == [
+            document.name for document in reference.documents
+        ]
+        for mine, reference_result in zip(resumed.results, reference.results):
+            assert mine.output == reference_result.output
+            assert (_stats_tuple(mine.stats)
+                    == _stats_tuple(reference_result.stats))
+
+
 # ----------------------------------------------------------------------
 # The fuzz harness's kill-and-resume matrix (one seeded round)
 # ----------------------------------------------------------------------

@@ -157,6 +157,52 @@ class TestChaosInvariant:
         assert len(outcomes) == len(medline_corpus)
         assert spawned - 3 >= 1, "no worker was ever killed -- chaos inert"
 
+    def test_record_spans_survive_worker_kills(self, medline_corpus,
+                                               monkeypatch, tmp_path):
+        """Respawned workers are forked with the record stream too: they
+        read the retried records as spans, and the chaotic run of a
+        ``from_records`` corpus stays byte-identical."""
+        stream = b"\n".join(open(path, "rb").read() for path in medline_corpus)
+
+        def records():
+            return api.Source.from_records(
+                stream, end_tag=b"</MedlineCitationSet>"
+            )
+
+        reference = _medline_engine().run(records(), binary=True)
+        log = tmp_path / "filtered"
+        worker_main = parallel._worker_main
+        run_document = parallel._run_document
+
+        def logging_worker_main(spec, tasks, results, fault_plan, uid, buffer):
+            # Runs in the forked worker: log who filtered which payload kind.
+            def logged(engine, payload, pools, buffer):
+                with open(log, "a") as handle:
+                    handle.write(f"{uid} {payload[0]}\n")
+                return run_document(engine, payload, pools, buffer)
+
+            parallel._run_document = logged
+            worker_main(spec, tasks, results, fault_plan, uid, buffer)
+
+        monkeypatch.setattr(parallel, "_worker_main", logging_worker_main)
+        # Seed 99 kills worker 1 at its first record; its replacement
+        # (uid 2) survives the retries.
+        with faults.injected(FaultPlan(seed=99, worker_crash=0.3)):
+            chaotic = _medline_engine(mode="parallel", jobs=2).run(
+                records(),
+                binary=True,
+                retry=RetryPolicy(retries=8, backoff=0.01),
+            )
+        filtered = [line.split() for line in log.read_text().splitlines()]
+        assert {kind for _uid, kind in filtered} == {"span"}
+        assert max(int(uid) for uid, _kind in filtered) >= 2, (
+            "no respawned worker filtered a record -- chaos inert"
+        )
+        assert chaotic.ok
+        assert chaotic.outputs == reference.outputs
+        for ref_result, chaos_result in zip(reference, chaotic):
+            assert _stats_key(ref_result.stats) == _stats_key(chaos_result.stats)
+
     def test_fault_free_run_with_plan_disarmed_is_plain(self, medline_corpus):
         """Disarmed fault sites are no-ops (the zero-overhead contract)."""
         assert faults.active() is None

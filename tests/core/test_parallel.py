@@ -11,6 +11,8 @@ path (pooled chunks == fresh chunks, mutation-after-feed safety).
 from __future__ import annotations
 
 import os
+import threading
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
@@ -307,6 +309,118 @@ class TestCorpusSources:
         assert [document.name for document in run.documents] == [
             f"record[{index}]" for index in range(len(medline_corpus))
         ]
+
+
+# ----------------------------------------------------------------------
+# Record spans: what crosses the process boundary
+# ----------------------------------------------------------------------
+_MEDLINE_END = b"</MedlineCitationSet>"
+
+
+@pytest.fixture
+def pickled_bytes(monkeypatch):
+    """Bytes this process pickles into, or unpickles out of, the worker
+    queues: tasks go out through ``ForkingPickler.dumps`` (on the queue
+    feeder thread), results come back through ``ForkingPickler.loads``."""
+    lock = threading.Lock()
+    total = [0]
+    dumps = ForkingPickler.dumps.__func__
+    loads = ForkingPickler.loads
+
+    def counted(size: int) -> None:
+        with lock:
+            total[0] += size
+
+    def counting_dumps(cls, obj, protocol=None):
+        data = dumps(cls, obj, protocol)
+        counted(len(data))
+        return data
+
+    def counting_loads(data, /, **kwargs):
+        counted(len(data))
+        return loads(data, **kwargs)
+
+    monkeypatch.setattr(ForkingPickler, "dumps", classmethod(counting_dumps))
+    monkeypatch.setattr(ForkingPickler, "loads", staticmethod(counting_loads))
+    return total
+
+
+class TestRecordSpanTransport:
+    @pytest.fixture(scope="class")
+    def stream(self, medline_corpus):
+        return b"\n".join(open(path, "rb").read() for path in medline_corpus)
+
+    @pytest.fixture(scope="class")
+    def reference(self, stream):
+        """Sequential, over blobs: a chunk-stream source is split by
+        ``split_documents``, so no span is involved."""
+        blobs = api.Source.from_records(
+            api.Source.from_iter([stream]), end_tag=_MEDLINE_END
+        )
+        return _medline_engine().run(blobs, binary=True)
+
+    @staticmethod
+    def _assert_identical(outcomes, reference):
+        assert [outcome.name for outcome in outcomes] == [
+            document.name for document in reference.documents
+        ]
+        for outcome, document in zip(outcomes, reference.documents):
+            assert outcome.outputs == [r.output for r in document.run.results]
+            assert [_stats_key(stats) for stats in outcome.stats] == [
+                _stats_key(r.stats) for r in document.run.results
+            ]
+
+    def test_parallel_run_ships_offsets_not_records(
+        self, stream, reference, pickled_bytes
+    ):
+        run = _medline_engine(mode="parallel", jobs=2).run(
+            api.Source.from_records(stream, end_tag=_MEDLINE_END), binary=True
+        )
+        assert run.outputs == reference.outputs
+        for mine, theirs in zip(run.results, reference.results):
+            assert _stats_key(mine.stats) == _stats_key(theirs.stats)
+        output_bytes = sum(len(output) for output in run.outputs)
+        records = len(run.documents)
+        # The projections come back; what goes out is offsets, names and
+        # framing -- nothing near the records themselves.
+        assert output_bytes <= pickled_bytes[0] <= output_bytes + 1024 * records
+        assert len(stream) > 2 * (output_bytes + 1024 * records)
+
+    @pytest.mark.parametrize("pool_kind", ["spawn", "borrowed"])
+    def test_pools_without_the_stream_get_blobs(
+        self, stream, reference, pickled_bytes, pool_kind
+    ):
+        engine = _medline_engine()
+        source = api.Source.from_records(stream, end_tag=_MEDLINE_END)
+        if pool_kind == "spawn":
+            # Spawned workers would need the stream pickled, so the pool
+            # drops it even when offered.
+            pool = parallel.WorkerPool(engine, 2, start_method="spawn",
+                                       _buffer=stream)
+        else:
+            pool = parallel.WorkerPool(engine, 2)
+        with pool:
+            outcomes = list(parallel.execute_corpus(
+                engine, source.documents(), jobs=2, pool=pool,
+                _buffer=source._buffer,
+            ))
+        self._assert_identical(outcomes, reference)
+        assert pickled_bytes[0] > len(stream)
+
+    def test_in_process_run_reads_spans_in_place(self, stream, reference):
+        source = api.Source.from_records(stream, end_tag=_MEDLINE_END)
+        outcomes = list(parallel.execute_corpus(
+            _medline_engine(), source.documents(), jobs=1,
+            _buffer=source._buffer,
+        ))
+        self._assert_identical(outcomes, reference)
+
+    def test_spans_without_their_stream_are_refused(self, stream):
+        source = api.Source.from_records(stream, end_tag=_MEDLINE_END)
+        with pytest.raises(ReproError, match="span payload"):
+            list(parallel.execute_corpus(
+                _medline_engine(), source.documents(), jobs=1,
+            ))
 
 
 # ----------------------------------------------------------------------

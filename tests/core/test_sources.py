@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.sources import (
     Utf8ChunkAligner,
@@ -292,6 +293,105 @@ class TestSplitDocumentsGeneratedStreams:
                 for start in range(0, len(stream), chunk_size)
             ]
             assert list(split_documents(chunks, schema.end_tag)) == records
+
+
+class TestSplitSpans:
+    """``Source.from_records`` over an in-memory stream splits it into
+    ``("span", start, end)`` offsets; record for record they must select
+    exactly the blobs :func:`split_documents` copies out of any chunking
+    of the same stream."""
+
+    TAG = b"</r>"
+
+    @staticmethod
+    def _spans(data, tag=TAG):
+        from repro.api import Source
+
+        payloads = [
+            payload for _name, payload
+            in Source.from_records(data, end_tag=tag).documents()
+        ]
+        assert all(payload[0] == "span" for payload in payloads)
+        return [bytes(data[start:end]) for _kind, start, end in payloads]
+
+    @staticmethod
+    def _blobs(data, chunk_size, tag=TAG):
+        from repro.core.sources import split_documents
+
+        chunks = [
+            bytes(data[start:start + chunk_size])
+            for start in range(0, len(data), chunk_size)
+        ]
+        return list(split_documents(chunks, tag))
+
+    @pytest.mark.parametrize("stream, records", [
+        (b"  \n<r>a</r>\t<r>b</r>\r\n", [b"<r>a</r>", b"<r>b</r>"]),
+        (b"<r>a</r> \n\x0b\x0c \n<r>b</r>", [b"<r>a</r>", b"<r>b</r>"]),
+        (b"<r>a</r>\n junk \n", [b"<r>a</r>", b"junk"]),
+        (b"<r>a</r><r>b</r>X</r", [b"<r>a</r>", b"<r>b</r>", b"X</r"]),
+        (b"", []),
+        (b" \n\t ", []),
+        (b"</r>", [b"</r>"]),
+        (b"\n</r>\n", [b"</r>"]),
+        (b"</r></r>", [b"</r>", b"</r>"]),
+    ], ids=["outer-whitespace", "whitespace-gap", "trailing-garbage",
+            "unterminated-tail", "empty", "only-whitespace", "only-end-tag",
+            "padded-end-tag", "back-to-back-end-tags"])
+    def test_edge_streams(self, stream, records):
+        assert self._spans(stream) == records
+        for chunk_size in (1, 3, 64):
+            assert self._blobs(stream, chunk_size) == records
+
+    def test_whitespace_end_tag_skips_empty_records(self):
+        stream = b"a\n\n  \nb\n\n"
+        assert self._spans(stream, b"\n") == [b"a\n", b"b\n"]
+        for chunk_size in (1, 2, 64):
+            assert self._blobs(stream, chunk_size, b"\n") == [b"a\n", b"b\n"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.tuples(
+                st.text(" \t\n\r\x0b\x0c", max_size=4),
+                st.sampled_from(
+                    [b"<r>x</r>", b"<r/>y</r>", b"</r>", b"<r></r></r>", b"z"]
+                ),
+            ),
+            max_size=8,
+        ),
+        tail=st.sampled_from([b"", b" \n", b"junk", b" junk\t", b"</r", b"<"]),
+        chunk_size=st.integers(min_value=1, max_value=16),
+        kind=st.sampled_from([bytes, bytearray, memoryview]),
+        tag=st.sampled_from([TAG, b"\n"]),
+    )
+    def test_spans_match_split_documents(self, pieces, tail, chunk_size, kind,
+                                         tag):
+        stream = b"".join(
+            space.encode() + record for space, record in pieces
+        ) + tail
+        assert (self._spans(kind(stream), tag)
+                == self._blobs(stream, chunk_size, tag))
+
+    def test_generated_stream_spans(self):
+        from repro.workloads.generate import DocumentSpec, generate_records
+        from repro.workloads.schema import SchemaSpec, build_schema
+
+        schema = build_schema(SchemaSpec(seed=5, depth=4, fanout=3))
+        records = generate_records(
+            schema, DocumentSpec(seed=2, records=6, record_bytes=700)
+        )
+        stream = b"\n".join(records) + b"\n"
+        assert self._spans(stream, schema.end_tag) == records
+
+    def test_text_and_chunk_streams_keep_blobs(self):
+        from repro.api import Source
+
+        for source in ("<r>a</r>", Source.from_iter(iter([b"<r>a</r>"]))):
+            payloads = [
+                payload for _name, payload
+                in Source.from_records(source, end_tag=self.TAG).documents()
+            ]
+            assert payloads == [("blob", b"<r>a</r>")]
 
 
 class TestSplitJsonl:
