@@ -19,7 +19,8 @@
  * ``step_events``
  *     The multi-query shared scan: one union-keyword sweep over the
  *     buffered window that also probes subscriptions, steps every driven
- *     stream's Figure-4 tables and batches the decided copy spans.
+ *     stream's Figure-4 tables and copies each decided span straight into
+ *     that stream's output buffer (one bytearray per query).
  *
  * The extension is strictly optional: ``repro.core.runtime`` and
  * ``repro.core.multi`` fall back to pure-Python loops with the same
@@ -512,8 +513,12 @@ enum {
     STEP_SUSPEND = 1,     /* a decision needs input beyond the window */
     STEP_UNCLOSED_EOF = 2, /* a subscribed tag never closes before EOF */
     STEP_BAIL = 3,        /* a transition error: replay the event in Python */
-    STEP_SPANS_FULL = 4,  /* span buffer full: apply spans, call again */
+    STEP_OUTPUT_FULL = 4, /* output buffers full: emit them, call again */
 };
+
+/* Output bytes (all streams together) at which the kernel returns so
+ * Python hands the buffers to the sinks; one event may add a region more. */
+#define STEP_OUTPUT_CAP ((Py_ssize_t)64 * 1024)
 
 /* Action codes (repro.core.tables.Action, flattened by compile order). */
 enum {
@@ -662,13 +667,13 @@ step_false_match(int64_t *st, const StepTables *tab, Py_ssize_t kid,
 static PyObject *
 accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *capsule, *steps;
-    Py_buffer state, pstarts, pids, buf, spans;
+    PyObject *capsule, *steps, *outputs;
+    Py_buffer state, pstarts, pids, buf;
     Py_ssize_t tbase, scan_from;
     int eof;
-    if (!PyArg_ParseTuple(args, "OOw*y*y*y*nnpw*", &capsule, &steps, &state,
+    if (!PyArg_ParseTuple(args, "OOw*y*y*y*nnpO!", &capsule, &steps, &state,
                           &pstarts, &pids, &buf, &tbase, &scan_from, &eof,
-                          &spans))
+                          &PyTuple_Type, &outputs))
         return NULL;
     PyObject *result = NULL;
     StepTables **tabs = NULL;
@@ -682,9 +687,10 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
     }
     Py_ssize_t nstreams =
         state.len / (SS_STRIDE * (Py_ssize_t)sizeof(int64_t));
-    if (!PyTuple_Check(steps) || PyTuple_GET_SIZE(steps) != nstreams) {
+    if (!PyTuple_Check(steps) || PyTuple_GET_SIZE(steps) != nstreams ||
+        PyTuple_GET_SIZE(outputs) != nstreams) {
         PyErr_SetString(PyExc_ValueError,
-                        "step programs do not match the state array");
+                        "steps or outputs do not match the state array");
         goto done;
     }
     if (pstarts.len < (ak->n + 1) * (Py_ssize_t)sizeof(int64_t)) {
@@ -699,6 +705,10 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
     }
     for (Py_ssize_t s = 0; s < nstreams; s++) {
         PyObject *item = PyTuple_GET_ITEM(steps, s);
+        if (!PyByteArray_Check(PyTuple_GET_ITEM(outputs, s))) {
+            PyErr_SetString(PyExc_TypeError, "outputs must be bytearrays");
+            goto done;
+        }
         if (item == Py_None) {
             tabs[s] = NULL;
             continue;
@@ -720,9 +730,7 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
     int64_t *st_all = (int64_t *)state.buf;
     const int64_t *prefix_starts = (const int64_t *)pstarts.buf;
     const int64_t *prefix_ids = (const int64_t *)pids.buf;
-    int64_t *span_out = (int64_t *)spans.buf;
-    Py_ssize_t span_cap = spans.len / (3 * (Py_ssize_t)sizeof(int64_t));
-    Py_ssize_t span_count = 0;
+    Py_ssize_t buffered = 0;
     Py_ssize_t tokens_delta = 0;
     Py_ssize_t holdback = eof ? wlen : wlen - ak->max_len + 1;
     Py_ssize_t p = scan_from - tbase;
@@ -796,10 +804,9 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
                 next_from = abs_start;
                 goto out;
             }
-            if (span_count + nstreams > span_cap) {
-                /* Worst case one span per stream on this event: apply the
-                 * batched spans in Python and continue from here. */
-                status = STEP_SPANS_FULL;
+            if (buffered >= STEP_OUTPUT_CAP) {
+                /* Before any stream mutates: emit, then resume here. */
+                status = STEP_OUTPUT_FULL;
                 next_from = abs_start;
                 goto out;
             }
@@ -859,15 +866,13 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
                 st[SS_D_TOKENS_MATCHED] += 1;
                 int64_t flags = tab->cellflags[cell];
                 int64_t newrow;
+                int64_t copy_from = -1; /* start of the span copied here */
                 if (bachelor && (flags & CF_OPEN)) {
                     /* Open and close behaviour in one step (Figure 4); the
                      * tag is emitted at most once, and not at all inside
                      * an active copy region. */
                     if (!st[SS_COPY_ACTIVE] && (flags & CF_BACHELOR_COPY)) {
-                        span_out[3 * span_count] = (int64_t)s;
-                        span_out[3 * span_count + 1] = (int64_t)abs_start;
-                        span_out[3 * span_count + 2] = (int64_t)(abs_end + 1);
-                        span_count += 1;
+                        copy_from = abs_start;
                         st[SS_D_TOKENS_COPIED] += 1;
                     }
                     newrow = tab->b_next[cell];
@@ -885,11 +890,7 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
                     else if (act == ACT_COPY_OFF) {
                         if (st[SS_COPY_ACTIVE] &&
                             tab->tagid[cell] == st[SS_COPY_TAG]) {
-                            span_out[3 * span_count] = (int64_t)s;
-                            span_out[3 * span_count + 1] = st[SS_COPY_EMITTED];
-                            span_out[3 * span_count + 2] =
-                                (int64_t)(abs_end + 1);
-                            span_count += 1;
+                            copy_from = st[SS_COPY_EMITTED];
                             st[SS_D_REGIONS] += 1;
                             st[SS_D_TOKENS_COPIED] += 1;
                             st[SS_COPY_ACTIVE] = 0;
@@ -899,24 +900,33 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
                         else if (!st[SS_COPY_ACTIVE]) {
                             /* Asymmetric table entries degrade gracefully
                              * to copying the closing tag itself. */
-                            span_out[3 * span_count] = (int64_t)s;
-                            span_out[3 * span_count + 1] = (int64_t)abs_start;
-                            span_out[3 * span_count + 2] =
-                                (int64_t)(abs_end + 1);
-                            span_count += 1;
+                            copy_from = abs_start;
                             st[SS_D_TOKENS_COPIED] += 1;
                         }
                     }
                     else if (act == ACT_COPY_TAG) {
                         if (!st[SS_COPY_ACTIVE]) {
-                            span_out[3 * span_count] = (int64_t)s;
-                            span_out[3 * span_count + 1] = (int64_t)abs_start;
-                            span_out[3 * span_count + 2] =
-                                (int64_t)(abs_end + 1);
-                            span_count += 1;
+                            copy_from = abs_start;
                             st[SS_D_TOKENS_COPIED] += 1;
                         }
                     }
+                }
+                if (copy_from >= 0) {
+                    /* Append the span to the stream's output buffer;
+                     * adjacent spans of a stream merge by construction. */
+                    PyObject *out = PyTuple_GET_ITEM(outputs, s);
+                    Py_ssize_t used = PyByteArray_GET_SIZE(out);
+                    Py_ssize_t len = abs_end + 1 - (Py_ssize_t)copy_from;
+                    if (copy_from < tbase) {
+                        PyErr_SetString(PyExc_ValueError,
+                                        "copy span starts below the window");
+                        goto done;
+                    }
+                    if (PyByteArray_Resize(out, used + len) < 0)
+                        goto done; /* the event is half applied: fatal */
+                    memcpy(PyByteArray_AS_STRING(out) + used,
+                           text + (copy_from - tbase), (size_t)len);
+                    buffered += len;
                 }
                 st[SS_ROW] = newrow;
                 st[SS_SEARCH_FROM] = abs_end;
@@ -944,15 +954,13 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
     }
 
 out:
-    result = Py_BuildValue("(innn)", status, next_from, span_count,
-                           tokens_delta);
+    result = Py_BuildValue("(inn)", status, next_from, tokens_delta);
 done:
     PyMem_Free(tabs);
     PyBuffer_Release(&state);
     PyBuffer_Release(&pstarts);
     PyBuffer_Release(&pids);
     PyBuffer_Release(&buf);
-    PyBuffer_Release(&spans);
     return result;
 }
 
@@ -1191,17 +1199,19 @@ static PyMethodDef accel_methods[] = {
      "are copied; the capsule owns the copy."},
     {"step_events", accel_step_events, METH_VARARGS,
      "step_events(scan_capsule, step_capsules, state, prefix_starts,\n"
-     "            prefix_ids, buf, tbase, scan_from, eof, spans)\n"
-     "-> (status, next_from, span_count, tokens_delta)\n\n"
+     "            prefix_ids, buf, tbase, scan_from, eof, outputs)\n"
+     "-> (status, next_from, tokens_delta)\n\n"
      "The integrated shared-scan dispatch loop: union occurrence sweep,\n"
      "per-stream subscription probe, Figure-4 state transition and the\n"
      "output-span decisions in one C pass.  'state' holds one 16-int64\n"
-     "block per stream (see the SS_* layout); decided copy spans are\n"
-     "written into 'spans' as (stream, start, end_exclusive) triples.\n"
+     "block per stream (see the SS_* layout); 'outputs' is a tuple of one\n"
+     "bytearray per stream, and the bytes of each decided copy span are\n"
+     "appended to its stream's bytearray in document order.\n"
      "status: 0 done, 1 suspend at next_from, 2 unclosed tag at EOF\n"
      "(next_from = tag start), 3 bail to the Python path (transition\n"
-     "error; nothing was mutated for the offending event), 4 span\n"
-     "buffer full (apply spans, call again from next_from)."},
+     "error; nothing was mutated for the offending event), 4 output\n"
+     "full: the buffers hold >= 64 KiB (emit them, call again from\n"
+     "next_from)."},
     {"scan_str_tokens", accel_scan_str_tokens, METH_VARARGS,
      "scan_str_tokens(text, eof, scan, doctype_depth, quote)\n"
      "-> (complete_until, scan, doctype_depth, quote) or None\n\n"
@@ -1224,7 +1234,7 @@ static struct PyModuleDef accel_module = {
 /* Bumped whenever a kernel's Python-visible signature or a table/state
  * layout changes; repro.accel refuses a build whose ABI_VERSION differs
  * from its own (a stale in-place build would otherwise fail mid-run). */
-#define REPRO_ACCEL_ABI_VERSION 2
+#define REPRO_ACCEL_ABI_VERSION 3
 
 PyMODINIT_FUNC
 PyInit__accel(void)

@@ -33,7 +33,7 @@ import warnings
 
 #: The ``repro._accel`` ABI this source tree expects
 #: (``REPRO_ACCEL_ABI_VERSION`` in ``_accel.c``).
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 #: Sentinel distinguishing "not probed yet" from "probed, unavailable".
 _UNSET = object()

@@ -745,6 +745,16 @@ class Sink:
 
     Sinks are context managers (``close`` on exit) so resource-owning sinks
     compose with ``contextlib.ExitStack``.
+
+    Write boundaries carry no meaning: a sink may only rely on the order of
+    its query's bytes and on their concatenation, never on how they are cut
+    into ``write`` calls.  The cut differs by path: the pure paths write
+    about one fragment per copied token or region, the native shared scan
+    up to ~64 KiB per query per kernel call (each query's output buffer is
+    handed over whole).  Every fragment is written before the ``feed`` that
+    produced it returns, so a checkpoint's flushed sizes, ``aio`` frames
+    (one per query per feed or record) and ``CallbackSink`` callers see the
+    same bytes on every path.
     """
 
     #: Chunk-type preference: True = bytes, False = str, None = either.

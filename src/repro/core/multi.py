@@ -131,12 +131,14 @@ class _NativeStep:
     per-stream :class:`~repro.core.runtime.StepProgram` capsules (compiled
     once per runtime-table object and dispatcher, see
     :func:`_step_program`), the session's 16-slot-per-stream state array and
-    the reusable span output buffer.  Rebuilt whenever the dispatcher
-    changes (an attach brought new keywords) or the stream count changes.
+    one output ``bytearray`` per stream, into which the kernel copies the
+    bytes of each decided span.  The buffers are empty between calls.
+    Rebuilt whenever the dispatcher changes (an attach brought new
+    keywords) or the stream count changes.
     """
 
     __slots__ = (
-        "dispatcher", "count", "programs", "capsules", "state", "spans",
+        "dispatcher", "count", "programs", "capsules", "state", "outputs",
         "prefix_starts", "prefix_ids",
     )
 
@@ -150,7 +152,7 @@ class _NativeStep:
         self.programs = programs
         self.capsules = tuple(program.capsule for program in programs)
         self.state = array("q", bytes(8 * 16 * self.count))
-        self.spans = array("q", bytes(8 * 3 * max(64, 4 * self.count)))
+        self.outputs = tuple(bytearray() for _ in prefilters)
         self.prefix_starts = dispatcher.prefix_starts
         self.prefix_ids = dispatcher.prefix_ids
 
@@ -669,15 +671,19 @@ class MultiQuerySession:
         ``repro._accel.step_events`` consumes the union sweep directly --
         occurrence scan, subscription probe, per-stream Figure-4 transition
         and the output-span decisions all happen below the interpreter --
-        and emits batched ``(stream, start, end)`` copy spans this loop
-        applies to the sinks in bulk.  Stream state crosses the boundary
-        through flat 16-slot blocks (:meth:`DrivenStream.export_native` /
-        ``import_native``); subscriptions are refreshed once per call
-        rather than per transition, which is safe because the kernel
-        performs the equivalent vocabulary probe on its own tables.  The
-        kernel bails back to :meth:`_process_pure` for the rare event it
-        cannot settle (a transition error), which replays it in Python and
-        raises the identical diagnostics.
+        and copies each decided span into its stream's output buffer.  After
+        every call this loop emits each non-empty buffer as one fragment, so
+        the buffers are empty whenever it returns.  The kernel returns early
+        (status 4) once they hold 64 KiB, before the next event mutates any
+        stream, and is called again from that event.  Stream state crosses
+        the boundary through flat 16-slot blocks
+        (:meth:`DrivenStream.export_native` / ``import_native``);
+        subscriptions are refreshed once per call rather than per
+        transition, which is safe because the kernel performs the
+        equivalent vocabulary probe on its own tables.  The kernel bails
+        back to :meth:`_process_pure` for the rare event it cannot settle (a
+        transition error), which replays it in Python and raises the
+        identical diagnostics.
         """
         window = self._window
         dispatcher = self._dispatcher
@@ -699,7 +705,7 @@ class MultiQuerySession:
         streams = self._streams
         detached = self._detached
         state = native.state
-        spans = native.spans
+        outputs = native.outputs
         programs = native.programs
         for index, stream in enumerate(streams):
             block = 16 * index
@@ -716,19 +722,18 @@ class MultiQuerySession:
         tokens = 0
         try:
             while True:
-                status, next_from, span_count, tokens_delta = step_events(
+                status, next_from, tokens_delta = step_events(
                     capsule, native.capsules, state, native.prefix_starts,
-                    native.prefix_ids, text, base, position, eof, spans,
+                    native.prefix_ids, text, base, position, eof, outputs,
                 )
                 tokens += tokens_delta
-                for cursor in range(0, 3 * span_count, 3):
-                    streams[spans[cursor]].emit_span(
-                        spans[cursor + 1], spans[cursor + 2]
-                    )
-                if status == 4:  # span buffer full: apply and keep sweeping
-                    position = next_from
-                    continue
-                break
+                for index, output in enumerate(outputs):
+                    if output:
+                        streams[index]._emit(bytes(output))
+                        output.clear()
+                if status != 4:  # 4: output buffers full, resume there
+                    break
+                position = next_from
         finally:
             self.scan_stats.tokens_matched += tokens
             for index, stream in enumerate(streams):

@@ -1511,13 +1511,6 @@ class DrivenStream(_FilterStreamBase):
         self._last_position = block[4]
         self._done = bool(block[14])
 
-    def emit_span(self, start: int, end: int) -> None:
-        """Emit one window slice decided by the native step kernel.
-
-        ``end`` is exclusive (the kernel emits ``tag_end + 1`` spans).
-        """
-        self._emit(self._window.slice(start, end))
-
     def flush_copy(self, limit: int) -> None:
         """Emit the open copy region up to ``limit``.
 

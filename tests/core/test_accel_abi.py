@@ -39,8 +39,8 @@ def test_matching_abi_loads(fake_extension):
 @pytest.mark.parametrize("attributes, shown", [
     ({}, "missing"),
     ({"ABI_VERSION": accel.ABI_VERSION + 1}, str(accel.ABI_VERSION + 1)),
-    # A build from before the hybrid shared scan was removed: its older
-    # ABI version alone must refuse it.
+    # The previous ABI (step_events returned span triples instead of
+    # filling per-query output buffers): its version alone must refuse it.
     ({"ABI_VERSION": accel.ABI_VERSION - 1}, str(accel.ABI_VERSION - 1)),
 ])
 def test_stale_build_is_unavailable_with_one_warning(

@@ -7,18 +7,20 @@ multi-byte UTF-8 sequences, keywords and tags -- the projected output and
 **all** statistics equal the whole-document ``batched`` run.  The same
 holds for the multi-query shared scan (pure union-pattern loop vs the
 native ``step_events`` stepper), including the native kernel's bail back
-to the pure loop on a transition error.
+to the pure loop on a transition error and its early return once its
+per-query output buffers hold 64 KiB.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
 import pytest
 
 from repro import SmpPrefilter
-from repro.accel import accel_available, reset as reset_accel
+from repro.accel import accel_available, load_accel, reset as reset_accel
 from repro.core import multi
 from repro.core.multi import MultiQueryEngine, MultiQuerySession
 from repro.core.runtime import (
@@ -43,6 +45,15 @@ CHUNKINGS = ([1, 2, 3], [17, 63], [4096], [65536])
 accel_only = pytest.mark.skipif(
     not accel_available(), reason="repro._accel extension not built"
 )
+
+#: perfbench's xmark-shared16 query set: 16 XMark queries, one shared scan.
+XMARK_SHARED = tuple(f"XM{n}" for n in (*range(1, 15), 17, 18))
+
+#: ``step_events`` statuses and its output cap (``STEP_OUTPUT_CAP``), all
+#: from ``_accel.c``.
+STEP_BAIL = 3
+STEP_OUTPUT_FULL = 4
+OUTPUT_CAP = 64 * 1024
 
 
 def stats_tuple(stats):
@@ -85,6 +96,41 @@ def medline_corpus():
 def xmark_corpus():
     dtd = xmark_dtd()
     return dtd, generate_xmark_document_of_size(20_000).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def xmark_mib():
+    """The 16 shared XMark queries over a >= 1 MiB document, and the
+    whole-document ``batched`` run of that document.  One 1 MiB feed makes
+    far more than the native kernel's 64 KiB of output."""
+    engine = MultiQueryEngine(
+        xmark_dtd(), [XMARK_QUERIES[name] for name in XMARK_SHARED],
+        backend="native",
+    )
+    data = generate_xmark_document_of_size(1_200_000, seed=5).encode("utf-8")
+    assert len(data) >= 1 << 20
+    reference = TestMultiQueryDeliveries.multi_outputs(
+        engine, data, [len(data)], random.Random(0), "batched"
+    )
+    return engine, data, reference
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``(status, buffered output bytes)`` of every ``step_events`` call."""
+    module = load_accel()
+    if module is None:
+        pytest.skip("repro._accel extension not built")
+    real = module.step_events
+    calls = []
+
+    def recording(*args):
+        result = real(*args)
+        calls.append((result[0], sum(len(output) for output in args[-1])))
+        return result
+
+    monkeypatch.setattr(module, "step_events", recording)
+    return calls
 
 
 class TestSingleQueryDeliveries:
@@ -180,8 +226,9 @@ class TestSingleQueryDeliveries:
 
 
 class TestMultiQueryDeliveries:
-    def multi_outputs(self, engine, data, sizes, rng, delivery):
-        session = engine.session(binary=True, delivery=delivery)
+    @staticmethod
+    def multi_outputs(engine, data, sizes, rng, delivery, binary=True):
+        session = engine.session(binary=binary, delivery=delivery)
         outputs = [[] for _ in engine.prefilters]
         position = 0
         while position < len(data):
@@ -191,8 +238,9 @@ class TestMultiQueryDeliveries:
             position += size
         for index, piece in enumerate(session.finish()):
             outputs[index].append(piece)
+        empty = b"" if binary else ""
         return (
-            [b"".join(chunks) for chunks in outputs],
+            [empty.join(chunks) for chunks in outputs],
             [stats_tuple(stats) for stats in session.stats],
             stats_tuple(session.scan_stats),
             session.delivery,
@@ -270,10 +318,10 @@ class TestMultiQueryDeliveries:
 
         Every declared MEDLINE element yields two descendant-path variants;
         the first 64 that compile run as one shared session, stressing the
-        widest step tables and span batches the suite produces (the span
-        buffer can overflow mid-token-event, exercising the SPANS_FULL
-        resume).  Output and statistics must match the whole-document pure
-        loop.
+        widest step tables the suite produces.  (Its ~20 KB document never
+        fills the kernel's 64 KiB output buffers; the ``STEP_OUTPUT_FULL``
+        resume is covered by :class:`TestNativeOutputBuffers`.)  Output and
+        statistics must match the whole-document pure loop.
         """
         dtd, data = medline_corpus
         specs = []
@@ -421,3 +469,158 @@ class TestMultiQueryDeliveries:
         assert "</MedlineCitation> (input offset 20)" in errors["accel"][1]
         # The native session entered the pure loop exactly once: the bail.
         assert pure_calls.count("accel") == 1
+
+
+@accel_only
+class TestNativeOutputBuffers:
+    """The native kernel copies each decided span into its query's output
+    buffer; the session hands each non-empty buffer to the query's sink
+    once per kernel call.  The kernel returns ``STEP_OUTPUT_FULL`` once the
+    buffers hold 64 KiB and is called again from the event it stopped on.
+    Output and all statistics stay those of the ``batched`` reference.
+    """
+
+    run = staticmethod(TestMultiQueryDeliveries.multi_outputs)
+
+    @pytest.mark.parametrize(
+        "chunk, resumes", [(1 << 20, True), (4096, False)], ids=["1MiB", "4KiB"]
+    )
+    def test_output_full_resume_matches_whole_batched(
+        self, xmark_mib, kernel_calls, chunk, resumes
+    ):
+        """A 1 MiB feed makes the kernel return full many times mid-window;
+        4 KiB feeds never fill the buffers, because the cap counts the
+        output of one call and a 4 KiB window yields far less."""
+        engine, data, reference = xmark_mib
+        subject = self.run(engine, data, [chunk], random.Random(0), "accel")
+        assert subject[3] == "accel"
+        assert subject[:3] == reference[:3]
+        full = [buffered for status, buffered in kernel_calls
+                if status == STEP_OUTPUT_FULL]
+        assert bool(full) == resumes
+        assert all(buffered >= OUTPUT_CAP for buffered in full)
+
+    def test_bail_after_buffered_output(self, medline_corpus, kernel_calls):
+        """``STEP_BAIL`` on an event after the same kernel call buffered
+        output: the buffers reach the sinks before the pure loop replays the
+        event, so every sink holds the bytes the pure delivery emitted
+        before the identical error."""
+        dtd, data = medline_corpus
+        sixth = [m.start() for m in re.finditer(rb"<MedlineCitation[ >]", data)][5]
+        broken = data[:sixth] + re.sub(
+            rb"<MedlineCitation[ >].*?</MedlineCitation>",
+            b"<MedlineCitation/>", data[sixth:], count=1, flags=re.DOTALL,
+        )
+        engine = MultiQueryEngine(
+            dtd, list(MEDLINE_QUERIES.values()), backend="native"
+        )
+        seen = {}
+        for delivery in ("accel", "batched"):
+            pieces = [[] for _ in engine.prefilters]
+            session = engine.session(
+                binary=True, delivery=delivery,
+                sinks=[piece.append for piece in pieces],
+            )
+            assert session.delivery == delivery
+            with pytest.raises(RuntimeFilterError) as caught:
+                session.feed(broken)
+                session.finish()
+            seen[delivery] = (
+                [b"".join(piece) for piece in pieces],
+                [stats_tuple(stats) for stats in session.stats],
+                stats_tuple(session.scan_stats),
+                type(caught.value),
+                str(caught.value),
+            )
+        assert seen["accel"] == seen["batched"]
+        assert "no transition from runtime state" in seen["accel"][4]
+        assert all(seen["accel"][0])
+        bails = [buffered for status, buffered in kernel_calls
+                 if status == STEP_BAIL]
+        assert len(bails) == 1 and bails[0] > 0
+
+    def test_attach_detach_between_full_feeds(self, xmark_mib, kernel_calls):
+        """Membership changes between feeds whose kernel calls fill the
+        buffers; every buffer is empty again when ``feed`` returns."""
+        engine, data, _ = xmark_mib
+        plans = engine.prefilters
+        step = 192 * 1024
+
+        def run(delivery):
+            session = MultiQueryEngine(
+                engine.dtd, plans[:8], backend="native"
+            ).session(binary=True, delivery=delivery)
+            outputs = []
+            rng = random.Random(23)
+            pending = list(plans[8:])
+            attached = list(range(8))
+            for feed, start in enumerate(range(0, len(data), step)):
+                outputs.append(session.feed(data[start:start + step]))
+                if delivery == "accel":
+                    assert not any(session._native.outputs)
+                if feed % 2 == 0 and pending:
+                    for _ in range(4):
+                        attached.append(session.attach(pending.pop(0)))
+                else:
+                    session.detach(attached.pop(rng.randrange(len(attached))))
+            outputs.append(session.finish())
+            return (
+                outputs,
+                [stats_tuple(stats) for stats in session.stats],
+                stats_tuple(session.scan_stats),
+            )
+
+        assert run("accel") == run("batched")
+        assert any(status == STEP_OUTPUT_FULL for status, _ in kernel_calls)
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 4093], ids=["1MiB", "4093B"])
+    def test_text_mode_multibyte_in_copied_regions(
+        self, xmark_mib, kernel_calls, chunk
+    ):
+        """``binary=False``: 2-, 3- and 4-byte UTF-8 characters inside the
+        copied text decode exactly as in the pure run, at any buffer or
+        chunk boundary."""
+        engine, data, _ = xmark_mib
+        data = re.sub(
+            rb">[^<]+<",
+            lambda m: m.group().replace(b"e", "é".encode())
+            .replace(b"a", "€".encode()).replace(b"o", "😀".encode()),
+            data,
+        )
+        reference = self.run(
+            engine, data, [len(data)], random.Random(0), "batched", binary=False
+        )
+        subject = self.run(
+            engine, data, [chunk], random.Random(0), "accel", binary=False
+        )
+        assert subject[:3] == reference[:3]
+        assert {"é", "€", "😀"} <= set("".join(subject[0]))
+        assert any(status == STEP_OUTPUT_FULL for status, _ in kernel_calls) \
+            == (chunk == 1 << 20)
+
+    def test_sink_writes_per_feed_are_bounded(self, xmark_mib):
+        """Per-span emission must not come back: the native session makes
+        at most ``N * (2 + ceil(feed output / 64 KiB))`` sink writes per
+        feed (one per query per kernel call, plus the open-region flush),
+        where one write per span would be ~25k per 1 MiB feed here.  The
+        ``batched`` path writes the same bytes through its sinks."""
+        engine, data, reference = xmark_mib
+        count = len(engine.prefilters)
+        received = {}
+        for delivery in ("accel", "batched"):
+            pieces = [[] for _ in range(count)]
+            session = engine.session(
+                binary=True, delivery=delivery,
+                sinks=[piece.append for piece in pieces],
+            )
+            for start in range(0, len(data), 1 << 20):
+                writes = sum(map(len, pieces))
+                size = sum(len(part) for piece in pieces for part in piece)
+                session.feed(data[start:start + (1 << 20)])
+                writes = sum(map(len, pieces)) - writes
+                size = sum(len(part) for piece in pieces for part in piece) - size
+                if delivery == "accel":
+                    assert writes <= count * (2 + math.ceil(size / OUTPUT_CAP))
+            session.finish()
+            received[delivery] = [b"".join(piece) for piece in pieces]
+        assert received["accel"] == received["batched"] == reference[0]
