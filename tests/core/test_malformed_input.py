@@ -9,7 +9,8 @@ whose position (when it carries one) lies inside the input.  The outcome
 -- projected bytes on success, error class on failure -- must further be
 *identical* to the whole-document ``batched`` run across every token-event
 delivery mode, every matcher backend and every chunking, from 1-byte feeds
-to 64 KiB streaming chunks.
+to 64 KiB streaming chunks.  Shared multi-query sessions must match the
+whole-document shared ``batched`` run the same way, error message included.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import SmpPrefilter, faults
 from repro.accel import accel_available
+from repro.core.multi import MultiQueryEngine
 from repro.core.runtime import DELIVERIES
 from repro.errors import ReproError, XmlSyntaxError
 from repro.matching.factory import available_backends
@@ -137,6 +139,90 @@ class TestCorruptedDocumentsAcrossDeliveries:
         outcome = _feed_all(session, damaged, [257], random.Random(seed))
         if outcome[0] == "ok":
             assert reference.startswith(outcome[1]) or outcome[1] == b""
+
+
+def _feed_all_shared(session, data: bytes, sizes, rng):
+    """Shared-session twin of :func:`_feed_all`: ('ok', per-query bytes)
+    or ('err', type, message)."""
+    pieces = [[] for _ in session.stats]
+    position = 0
+    try:
+        while position < len(data):
+            size = rng.choice(sizes)
+            emitted = session.feed(data[position:position + size])
+            for index, piece in enumerate(emitted):
+                pieces[index].append(piece)
+            position += size
+        for index, piece in enumerate(session.finish()):
+            pieces[index].append(piece)
+    except ReproError as error:
+        return ("err", type(error), str(error))
+    return ("ok", tuple(b"".join(parts) for parts in pieces))
+
+
+@pytest.fixture(scope="module")
+def shared_engine():
+    dtd = medline_dtd()
+    return MultiQueryEngine(
+        dtd, [MEDLINE_QUERIES[name] for name in ("M2", "M3", "M5")]
+    )
+
+
+class TestCorruptedDocumentsInSharedSessions:
+    """The shared scan (pure union loop and ``step_events``, including its
+    unclosed-tag and bail-to-Python exits) fails exactly like the pure
+    whole-document shared run, error message included."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        corruption=st.sampled_from(("flip", "truncate", "garbage")),
+    )
+    def test_outcome_identical_across_deliveries_and_chunkings(
+        self, shared_engine, base_document, seed, corruption
+    ):
+        damaged = _corrupt(base_document, corruption, seed)
+        reference = _feed_all_shared(
+            shared_engine.session(binary=True, delivery="batched"), damaged,
+            [max(1, len(damaged))], random.Random(seed),
+        )
+        for delivery in _deliveries():
+            for sizes in CHUNKINGS:
+                session = shared_engine.session(binary=True, delivery=delivery)
+                outcome = _feed_all_shared(
+                    session, damaged, sizes, random.Random(seed)
+                )
+                assert outcome == reference, (
+                    corruption, seed, delivery, sizes, outcome[0],
+                    reference[0],
+                )
+
+    @pytest.mark.parametrize("damage", ["unclosed", "bachelor", "quoted"])
+    def test_targeted_damage_fails_identically(
+        self, shared_engine, base_document, damage
+    ):
+        """Random damage rarely lands in a subscribed tag; these do.  An
+        unclosed tag at end of input, and a bachelor open whose close
+        transition does not exist (the kernel's bail to Python)."""
+        citation = base_document.index(b"<MedlineCitation ")
+        head, rest = base_document[:citation], base_document[citation:]
+        damaged = {
+            "unclosed": base_document[:citation + 20],
+            "bachelor": head + b"<MedlineCitation/>" + rest,
+            "quoted": head + b'<MedlineCitation Status="x/>y"/>' + rest,
+        }[damage]
+        reference = _feed_all_shared(
+            shared_engine.session(binary=True, delivery="batched"), damaged,
+            [len(damaged)], random.Random(0),
+        )
+        assert reference[0] == "err"
+        for delivery in _deliveries():
+            for sizes in CHUNKINGS:
+                session = shared_engine.session(binary=True, delivery=delivery)
+                outcome = _feed_all_shared(
+                    session, damaged, sizes, random.Random(1)
+                )
+                assert outcome == reference, (damage, delivery, sizes)
 
 
 class TestTokenizerPositions:
