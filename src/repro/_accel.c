@@ -1,26 +1,27 @@
 /* Optional C accelerator for the SMP prefilter hot kernels.
  *
- * Two kernels move the per-token interpreter work of the reproduction below
- * the interpreter, with bit-identical results:
+ * The two event sources of the Figure-4 runtime, below the interpreter and
+ * bit-identical to the pure-Python paths:
  *
  * ``find_token``
- *     The per-state token step of the Figure-4 runtime: frontier keyword
- *     search (memchr('<') + longest-first memcmp -- equivalent to the
- *     native backend's leftmost-longest ``bytes.find`` search because every
- *     frontier keyword is a tag keyword whose '<' appears only at offset
- *     0), false-match rejection, and the quote-aware end-of-tag scan.  The
- *     call either completes one token, suspends with an explicit resume
- *     vector (the C twin of the pure driver's ``_PH_*`` phases), or
- *     reports that no token exists before end of input.  Statistic deltas
- *     replay the native backend's span-approximated formulas exactly: they
- *     are computed from the absolute search origin at completion, so they
- *     are independent of how the input was chunked.
+ *     The searching stream's search step: frontier keyword search
+ *     (``leftmost``: memchr('<') + longest-first memcmp, equivalent to the
+ *     native backend's leftmost-longest search because every frontier
+ *     keyword is a tag keyword whose '<' appears only at offset 0),
+ *     false-match rejection and the quote-aware end-of-tag scan
+ *     (``scan_tag_end``).  It completes one token, suspends with an
+ *     explicit resume vector (the twin of the pure loop's ``_PH_*``
+ *     phases), or reports that no token exists before end of input; the
+ *     Python loop then takes the Figure-4 step.  Statistic deltas replay
+ *     the native backend's formulas from the absolute search origin, so
+ *     they do not depend on how the input was chunked.
  *
  * ``step_events``
- *     The multi-query shared scan: one union-keyword sweep over the
- *     buffered window that also probes subscriptions, steps every driven
- *     stream's Figure-4 tables and copies each decided span straight into
- *     that stream's output buffer (one bytearray per query).
+ *     The multi-query shared scan: the same ``leftmost`` union sweep over
+ *     the buffered window, and for each occurrence the driven streams that
+ *     take it (``stream_takes``) step their Figure-4 tables -- compiled by
+ *     ``compile_step`` from the one Python step -- and copy each decided
+ *     span into their output buffer (one bytearray per query).
  *
  * The extension is strictly optional: ``repro.core.runtime`` and
  * ``repro.core.multi`` fall back to pure-Python loops with the same
@@ -635,6 +636,41 @@ done:
     return capsule;
 }
 
+/* DrivenStream._takes: the table cell when stream ``st`` takes the
+ * occurrence of union keyword ``kid`` at ``abs_start``, else -1.  Taken
+ * means: the keyword is in the stream's current frontier vocabulary, and
+ * the occurrence lies at or after the search origin (plus the table-J
+ * jump, which a delivered occurrence resolves) and not at the position a
+ * longer keyword already took.  With ``commit`` 0 nothing is mutated (the
+ * bail precheck); otherwise the jump is resolved and counted. */
+static inline Py_ssize_t
+stream_takes(int64_t *st, const StepTables *tab, Py_ssize_t kid,
+             Py_ssize_t abs_start, int commit)
+{
+    if (!st[SS_ACTIVE])
+        return -1;
+    int64_t row = st[SS_ROW];
+    Py_ssize_t cell = row * tab->K + kid;
+    if (tab->next[cell] < 0)
+        return -1; /* not in this stream's current frontier vocabulary */
+    int64_t from = st[SS_SEARCH_FROM];
+    if (st[SS_PENDING_JUMP]) {
+        int64_t j = tab->jump[row];
+        from += j;
+        if (commit) {
+            if (j) {
+                st[SS_D_JUMPS] += 1;
+                st[SS_D_JUMP_CHARS] += j;
+                st[SS_SEARCH_FROM] = from;
+            }
+            st[SS_PENDING_JUMP] = 0;
+        }
+    }
+    if (abs_start < from || abs_start == st[SS_LAST_POS])
+        return -1;
+    return cell;
+}
+
 /* DrivenStream.push_false_match: one rejected occurrence of keyword
  * ``kid`` at ``abs_start`` (the tag name extends the keyword, or the
  * keyword is a shadowed prefix of the scanned occurrence). */
@@ -642,26 +678,10 @@ static void
 step_false_match(int64_t *st, const StepTables *tab, Py_ssize_t kid,
                  Py_ssize_t abs_start)
 {
-    if (!st[SS_ACTIVE])
-        return;
-    int64_t row = st[SS_ROW];
-    if (tab->next[row * tab->K + kid] < 0)
-        return; /* not in this stream's current frontier vocabulary */
-    if (st[SS_PENDING_JUMP]) {
-        int64_t j = tab->jump[row];
-        if (j) {
-            st[SS_D_JUMPS] += 1;
-            st[SS_D_JUMP_CHARS] += j;
-            st[SS_SEARCH_FROM] += j;
-        }
-        st[SS_PENDING_JUMP] = 0;
+    if (stream_takes(st, tab, kid, abs_start, 1) >= 0) {
+        st[SS_LAST_POS] = abs_start;
+        st[SS_D_LOCAL_SCAN] += 1;
     }
-    if (abs_start < st[SS_SEARCH_FROM])
-        return;
-    if (abs_start == st[SS_LAST_POS])
-        return; /* shadowed by a longer keyword at the same position */
-    st[SS_LAST_POS] = abs_start;
-    st[SS_D_LOCAL_SCAN] += 1;
 }
 
 static PyObject *
@@ -709,10 +729,6 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
             PyErr_SetString(PyExc_TypeError, "outputs must be bytearrays");
             goto done;
         }
-        if (item == Py_None) {
-            tabs[s] = NULL;
-            continue;
-        }
         StepTables *t =
             (StepTables *)PyCapsule_GetPointer(item, STEP_CAPSULE_NAME);
         if (t == NULL)
@@ -740,26 +756,10 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
     Py_ssize_t next_from = tbase + holdback;
 
     while (p < holdback) {
-        const unsigned char *hit =
-            memchr(text + p, '<', (size_t)(wlen - p));
-        if (hit == NULL)
+        Py_ssize_t found_k;
+        Py_ssize_t c = leftmost(ak, text, p, wlen, &found_k);
+        if (c < 0 || c >= holdback)
             break;
-        Py_ssize_t c = hit - text;
-        if (c >= holdback)
-            break;
-        Py_ssize_t found_k = -1;
-        for (Py_ssize_t k = 0; k < ak->n; k++) {
-            Py_ssize_t len = ak->lens[k];
-            if (c + len <= wlen &&
-                memcmp(text + c, ak->kws[k], (size_t)len) == 0) {
-                found_k = k;
-                break;
-            }
-        }
-        if (found_k < 0) {
-            p = c + 1;
-            continue;
-        }
         Py_ssize_t kid = ak->ids[found_k];
         Py_ssize_t after = c + ak->lens[found_k];
         Py_ssize_t abs_start = c + tbase;
@@ -770,9 +770,7 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
         for (Py_ssize_t s = 0; s < nstreams; s++) {
             int64_t *st = st_all + s * SS_STRIDE;
             const StepTables *tab = tabs[s];
-            if (tab == NULL || !st[SS_ACTIVE])
-                continue;
-            if (tab->next[st[SS_ROW] * tab->K + kid] >= 0) {
+            if (st[SS_ACTIVE] && tab->next[st[SS_ROW] * tab->K + kid] >= 0) {
                 sub_any = 1;
                 break;
             }
@@ -787,11 +785,9 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
         }
         if (after < wlen && name_byte[text[after]]) {
             /* False match: the tag name extends the keyword. */
-            for (Py_ssize_t s = 0; s < nstreams; s++) {
-                if (tabs[s] != NULL)
-                    step_false_match(st_all + s * SS_STRIDE, tabs[s], kid,
-                                     abs_start);
-            }
+            for (Py_ssize_t s = 0; s < nstreams; s++)
+                step_false_match(st_all + s * SS_STRIDE, tabs[s], kid,
+                                 abs_start);
             goto prefixes;
         }
         {
@@ -818,19 +814,10 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
                  * missing raises in Python.  Detect it *before* mutating
                  * any stream so the event replays identically there. */
                 for (Py_ssize_t s = 0; s < nstreams; s++) {
-                    int64_t *st = st_all + s * SS_STRIDE;
                     const StepTables *tab = tabs[s];
-                    if (tab == NULL || !st[SS_ACTIVE])
-                        continue;
-                    int64_t row = st[SS_ROW];
-                    Py_ssize_t cell = row * tab->K + kid;
-                    if (tab->next[cell] < 0)
-                        continue;
-                    int64_t eff = st[SS_SEARCH_FROM] +
-                        (st[SS_PENDING_JUMP] ? tab->jump[row] : 0);
-                    if (abs_start < eff || abs_start == st[SS_LAST_POS])
-                        continue;
-                    if ((tab->cellflags[cell] & CF_OPEN) &&
+                    Py_ssize_t cell = stream_takes(st_all + s * SS_STRIDE,
+                                                   tab, kid, abs_start, 0);
+                    if (cell >= 0 && (tab->cellflags[cell] & CF_OPEN) &&
                         tab->b_next[cell] < 0) {
                         status = STEP_BAIL;
                         next_from = abs_start;
@@ -842,25 +829,8 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
             for (Py_ssize_t s = 0; s < nstreams; s++) {
                 int64_t *st = st_all + s * SS_STRIDE;
                 const StepTables *tab = tabs[s];
-                if (tab == NULL || !st[SS_ACTIVE])
-                    continue;
-                int64_t row = st[SS_ROW];
-                Py_ssize_t cell = row * tab->K + kid;
-                int64_t nx = tab->next[cell];
-                if (nx < 0)
-                    continue;
-                if (st[SS_PENDING_JUMP]) {
-                    int64_t j = tab->jump[row];
-                    if (j) {
-                        st[SS_D_JUMPS] += 1;
-                        st[SS_D_JUMP_CHARS] += j;
-                        st[SS_SEARCH_FROM] += j;
-                    }
-                    st[SS_PENDING_JUMP] = 0;
-                }
-                if (abs_start < st[SS_SEARCH_FROM])
-                    continue;
-                if (abs_start == st[SS_LAST_POS])
+                Py_ssize_t cell = stream_takes(st, tab, kid, abs_start, 1);
+                if (cell < 0)
                     continue;
                 st[SS_D_LOCAL_SCAN] += scan_chars;
                 st[SS_D_TOKENS_MATCHED] += 1;
@@ -878,7 +848,7 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
                     newrow = tab->b_next[cell];
                 }
                 else {
-                    newrow = nx;
+                    newrow = tab->next[cell];
                     int64_t act = tab->action[cell];
                     if (act == ACT_COPY_ON) {
                         if (!st[SS_COPY_ACTIVE]) {
@@ -944,11 +914,9 @@ accel_step_events(PyObject *Py_UNUSED(self), PyObject *args)
         for (Py_ssize_t pi = prefix_starts[kid]; pi < prefix_starts[kid + 1];
              pi++) {
             Py_ssize_t pid = (Py_ssize_t)prefix_ids[pi];
-            for (Py_ssize_t s = 0; s < nstreams; s++) {
-                if (tabs[s] != NULL)
-                    step_false_match(st_all + s * SS_STRIDE, tabs[s], pid,
-                                     abs_start);
-            }
+            for (Py_ssize_t s = 0; s < nstreams; s++)
+                step_false_match(st_all + s * SS_STRIDE, tabs[s], pid,
+                                 abs_start);
         }
         p = after; /* the union scan is non-overlapping (finditer) */
     }
@@ -1201,9 +1169,10 @@ static PyMethodDef accel_methods[] = {
      "step_events(scan_capsule, step_capsules, state, prefix_starts,\n"
      "            prefix_ids, buf, tbase, scan_from, eof, outputs)\n"
      "-> (status, next_from, tokens_delta)\n\n"
-     "The integrated shared-scan dispatch loop: union occurrence sweep,\n"
-     "per-stream subscription probe, Figure-4 state transition and the\n"
-     "output-span decisions in one C pass.  'state' holds one 16-int64\n"
+     "The shared-scan event source in one C pass: the union keyword\n"
+     "sweep over buf, and for each occurrence the Figure-4 step of every\n"
+     "stream that takes it, from its compile_step capsule (one per stream;\n"
+     "a stream with SS_ACTIVE 0 takes nothing).  'state' holds one 16-int64\n"
      "block per stream (see the SS_* layout); 'outputs' is a tuple of one\n"
      "bytearray per stream, and the bytes of each decided copy span are\n"
      "appended to its stream's bytearray in document order.\n"

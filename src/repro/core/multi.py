@@ -65,8 +65,10 @@ from repro.core.runtime import (
     AnySink,
     DrivenStream,
     StepProgram,
+    check_output_mode,
     compile_step_tables,
     resolve_delivery,
+    scan_tag_end,
 )
 from repro.core.stats import CompilationStatistics, RunStatistics
 from repro.core.stream import DEFAULT_CHUNK_SIZE, ChunkCursor, iter_chunks
@@ -403,20 +405,12 @@ class MultiQuerySession:
             raise CheckpointError(
                 "cannot checkpoint a finished multi-query session"
             )
-        window = self._window
         return {
             "kind": "multi",
             "binary": self.binary,
             "input_offset": self.scan_stats.input_size,
             "scan_from": self._scan_from,
-            "window": {
-                "base": window.base,
-                "data": (
-                    window.slice(window.base, window.end)
-                    if window.end > window.base else b""
-                ),
-                "eof": window.eof,
-            },
+            "window": self._window.snapshot(),
             "scan_stats": self.scan_stats.export_state(),
             "streams": [stream.export_state() for stream in self._streams],
             "detached": list(self._detached),
@@ -440,12 +434,7 @@ class MultiQuerySession:
             raise CheckpointError(
                 "import_state requires a freshly constructed session"
             )
-        if bool(snapshot["binary"]) != self.binary:
-            captured = "binary" if snapshot["binary"] else "text"
-            raise CheckpointError(
-                f"checkpoint was captured in {captured} output mode; "
-                "restore with the same mode"
-            )
+        check_output_mode(snapshot["binary"], self.binary)
         streams_state = snapshot["streams"]
         if len(streams_state) != len(self._streams):
             raise CheckpointError(
@@ -453,14 +442,7 @@ class MultiQuerySession:
                 f"session has {len(self._streams)}; re-attach the same "
                 "query set before restoring"
             )
-        window_state = snapshot["window"]
-        window = self._window
-        window.rebase(int(window_state["base"]))
-        data = window_state["data"]
-        if data:
-            window.append(bytes(data))
-        if window_state["eof"]:
-            window.close()
+        self._window.restore(snapshot["window"])
         self.scan_stats = RunStatistics.from_state(snapshot["scan_stats"])
         self._scan_from = int(snapshot["scan_from"])
         self._detached = [bool(flag) for flag in snapshot["detached"]]
@@ -800,13 +782,9 @@ class MultiQuerySession:
                     for owner in subscribed:
                         streams[owner].push_false_match(keyword, start)
                 else:
-                    # Valid token: locate the closing '>' outside quotes.
-                    closing = text.find(b">", after)
-                    if closing >= 0 and (
-                        text.find(b'"', after, closing) >= 0
-                        or text.find(b"'", after, closing) >= 0
-                    ):
-                        closing = self._tag_end_with_quotes(text, after)
+                    # Valid token: locate the closing '>' outside quotes
+                    # (an incomplete tag is re-scanned from its start).
+                    closing = scan_tag_end(text, after)[0]
                     if closing < 0:
                         if eof:
                             raise RuntimeFilterError(
@@ -846,32 +824,6 @@ class MultiQuerySession:
         # Counted on exit from the actual scan advance, so a suspended and
         # re-run region is never double-counted.
         scan_stats.char_comparisons += self._scan_from - scanned_from
-
-    @staticmethod
-    def _tag_end_with_quotes(text, position: int) -> int:
-        """Window-local closing-``>`` scan skipping quoted attribute values.
-
-        Mirrors the searching runtime's end-of-tag scan; returns -1 when the
-        tag is still incomplete in the buffered bytes.  Vectorized: candidate
-        ``>`` and quote positions come from C-level ``find`` instead of a
-        per-byte loop.
-        """
-        cursor = position
-        while True:
-            gt = text.find(b">", cursor)
-            if gt < 0:
-                return -1
-            dq = text.find(b'"', cursor, gt)
-            sq = text.find(b"'", cursor, gt)
-            if dq < 0 and sq < 0:
-                return gt
-            if dq >= 0 and (sq < 0 or dq < sq):
-                quote_end = text.find(b'"', dq + 1)
-            else:
-                quote_end = text.find(b"'", sq + 1)
-            if quote_end < 0:
-                return -1
-            cursor = quote_end + 1
 
     def _resubscribe(self, index: int) -> None:
         """Refresh one stream's keyword subscription after a transition."""

@@ -33,15 +33,20 @@ bit-identical no matter how the input is chunked.  :meth:`SmpRuntime.
 filter_text` / :meth:`SmpRuntime.filter_bytes` are thin one-chunk wrappers
 over the same machine.
 
-A second execution mode serves the multi-query engine
-(:mod:`repro.core.multi`): :class:`DrivenStream` runs the same Figure-4
-transition/action machinery, but instead of searching the input itself it is
-*driven* by the keyword occurrences an external shared scan located once for
-all queries.  The driven stream replays exactly the
-decisions a private :class:`RuntimeStream` would have made -- initial-jump
-accounting, false-match rejection, transitions, copy actions -- so its
-output and its structural statistics are byte-identical to an independent
-run, while the byte-scanning work happens only once per document.
+The Figure-4 step itself -- take ``A[q, token]``, perform ``T[q']``, a
+bachelor tag as an opening immediately followed by its closing -- is written
+once, as :meth:`_FilterStreamBase.take`.  Two event sources feed it.
+:class:`RuntimeStream` searches the input itself: one drive loop whose
+search step is either the pure matchers' resumable ``find_chunk`` phases
+(``"batched"``) or the C ``find_token`` kernel (``"accel"``).
+:class:`DrivenStream` serves the multi-query engine (:mod:`repro.core.multi`):
+it is *driven* by the keyword occurrences one shared union scan located for
+all queries, and replays exactly the decisions a private
+:class:`RuntimeStream` would have made -- initial-jump accounting,
+false-match rejection, the same step -- so its output and structural
+statistics are byte-identical to an independent run while the bytes are
+scanned once per document.  The C shared-scan kernel ``step_events``
+compiles the same step into flat tables (:func:`compile_step_tables`).
 
 Input contract: the document must be valid with respect to the DTD the tables
 were compiled from, and -- like the paper's prototype -- must not hide markup
@@ -204,6 +209,64 @@ def _thaw_pending(value) -> "PendingSearch | None":
         keep_from=int(value["keep_from"]),
         state=_thaw_state_value(value["state"]),
     )
+
+
+def check_output_mode(captured, binary: bool) -> None:
+    """Refuse a snapshot captured in the other output mode."""
+    if bool(captured) != binary:
+        mode = "binary" if captured else "text"
+        raise CheckpointError(
+            f"checkpoint was captured in {mode} output mode; restore with "
+            "the same mode"
+        )
+
+
+def _bachelor_copies(open_action, close_action) -> bool:
+    """Whether a bachelor tag ``<tag .../>`` is copied to output.
+
+    Its opening and closing behaviour run one after the other (Figure 4)
+    and emit the tag at most once: a (copy on, copy off) pair degenerates
+    to copying the tag, and a copy-tag action on either side copies it.
+    Inside an open copy region the tag is part of the region already.
+    """
+    return (
+        open_action is Action.COPY_TAG or open_action is Action.COPY_ON
+        or close_action is Action.COPY_TAG or close_action is Action.COPY_OFF
+    )
+
+
+def scan_tag_end(text, cursor: int, quote: bytes = b"") -> tuple:
+    """Quote-aware scan of ``text`` for the ``>`` that closes a tag.
+
+    Scans from local offset ``cursor`` -- or, with ``quote`` set, from
+    inside a quoted attribute value opened by that byte -- skipping quoted
+    values, so a ``>`` inside one cannot end the tag.  Returns ``(gt, b"",
+    gt)`` with the offset of the closing ``>``, or ``(-1, quote, resume)``
+    when ``text`` ends first: ``quote`` is the open quote byte (empty
+    outside a value) and ``resume`` the offset to continue from once more
+    bytes arrive.  The contract of ``scan_tag_end`` in ``_accel.c``.
+    """
+    if quote:
+        closing = text.find(quote, cursor)
+        if closing < 0:
+            return -1, quote, len(text)
+        cursor = closing + 1
+    while True:
+        gt = text.find(b">", cursor)
+        if gt < 0:
+            return -1, b"", cursor
+        dq = text.find(b'"', cursor, gt)
+        sq = text.find(b"'", cursor, gt)
+        if dq < 0 and sq < 0:
+            return gt, b"", gt
+        if dq >= 0 and (sq < 0 or dq < sq):
+            quote_at, quote = dq, b'"'
+        else:
+            quote_at, quote = sq, b"'"
+        closing = text.find(quote, quote_at + 1)
+        if closing < 0:
+            return -1, quote, len(text)
+        cursor = closing + 1
 
 
 class SmpRuntime:
@@ -388,16 +451,11 @@ class _FilterStreamBase:
     # ------------------------------------------------------------------
     # Checkpoint plumbing shared by both stream kinds
     # ------------------------------------------------------------------
-    def _export_common(self, *, with_window: bool = True) -> dict:
-        """The output-channel / copy-region / statistics part of a snapshot.
-
-        The carry-over bytes the window retains are captured with it;
-        ``with_window=False`` omits the window entirely (driven streams
-        share the session's window, which is snapshotted once at session
-        level).
-        """
-        window = self._window
-        snapshot = {
+    def _export_common(self) -> dict:
+        """The output-channel / copy-region / statistics part of a snapshot
+        (the window is snapshotted by its owner: the searching stream, or
+        the multi-query session for all of its driven streams)."""
+        return {
             "binary": self._binary,
             "stats": self.stats.export_state(),
             "emitted_bytes": self._emitted_bytes,
@@ -410,31 +468,9 @@ class _FilterStreamBase:
             ),
             "finished": self._finished,
         }
-        if with_window:
-            low = window.base
-            snapshot["window"] = {
-                "base": low,
-                "data": window.slice(low, window.end) if window.end > low else b"",
-                "eof": window.eof,
-            }
-        return snapshot
 
-    def _import_common(self, snapshot: dict, *, with_window: bool = True) -> None:
-        if bool(snapshot["binary"]) != self._binary:
-            captured = "binary" if snapshot["binary"] else "text"
-            raise CheckpointError(
-                f"checkpoint was captured in {captured} output mode; "
-                "restore with the same mode"
-            )
-        if with_window:
-            window_state = snapshot["window"]
-            window = self._window
-            window.rebase(int(window_state["base"]))
-            data = window_state["data"]
-            if data:
-                window.append(bytes(data))
-            if window_state["eof"]:
-                window.close()
+    def _import_common(self, snapshot: dict) -> None:
+        check_output_mode(snapshot["binary"], self._binary)
         self.stats = RunStatistics.from_state(snapshot["stats"])
         self._emitted_bytes = int(snapshot["emitted_bytes"])
         self._copy_active = bool(snapshot["copy_active"])
@@ -446,36 +482,61 @@ class _FilterStreamBase:
         self._finished = bool(snapshot["finished"])
 
     # ------------------------------------------------------------------
-    # Transitions and actions
+    # The Figure-4 step
     # ------------------------------------------------------------------
-    def _bachelor_transition(
-        self, state: int, tag: str, start: int, end: int
+    def take(
+        self, state: int, symbol: Symbol, start: int, end: int, bachelor: bool
     ) -> int:
-        """Take a bachelor tag ``<tag .../>`` spanning ``[start, end]``.
+        """Take token ``symbol`` spanning ``[start, end]`` in ``state``.
 
-        Opening and closing behaviour run one after the other (Figure 4).
-        The tag is emitted at most once: a (copy on, copy off) pair
-        degenerates to copying the tag, a copy-tag action on either side
-        also copies it, and inside an active copy region it is part of the
-        region already.
+        Takes the transition ``A[state, symbol]`` and performs the action
+        ``T`` of the state reached; a bachelor opening tag is an opening
+        immediately followed by its closing (:func:`_bachelor_copies`).
+        Returns the next state.  This is the only Python code that takes
+        transitions and copy actions.
         """
-        tables = self._tables
-        open_state = tables.A(state, (OPEN, tag))
-        if open_state is None:
-            raise self._transition_error(state, (OPEN, tag), start)
-        close_state = tables.A(open_state, (CLOSE, tag))
-        if close_state is None:
-            raise self._transition_error(open_state, (CLOSE, tag), start)
-        open_action = tables.T(open_state)
-        close_action = tables.T(close_state)
-        wants_copy = (
-            open_action in (Action.COPY_TAG, Action.COPY_ON)
-            or close_action in (Action.COPY_TAG, Action.COPY_OFF)
-        ) and not (open_action is Action.NOP and close_action is Action.NOP)
-        if wants_copy and not self._copy_active:
+        transition = self._tables.transition
+        actions = self._tables.actions
+        next_state = transition.get(state, {}).get(symbol)
+        if next_state is None:
+            raise self._transition_error(state, symbol, start)
+        action = actions.get(next_state)
+        if bachelor and symbol[0] == OPEN:
+            close = (CLOSE, symbol[1])
+            close_state = transition.get(next_state, {}).get(close)
+            if close_state is None:
+                raise self._transition_error(next_state, close, start)
+            if not self._copy_active and _bachelor_copies(
+                action, actions.get(close_state)
+            ):
+                self._emit(self._window.slice(start, end + 1))
+                self.stats.tokens_copied += 1
+            return close_state
+        if action is None or action is Action.NOP:
+            return next_state
+        stats = self.stats
+        if action is Action.COPY_ON:
+            if not self._copy_active:
+                self._copy_active = True
+                self._copy_tag = symbol[1]
+                self._copy_emitted = start
+        elif action is Action.COPY_OFF:
+            if self._copy_active and symbol[1] == self._copy_tag:
+                self._emit(self._window.slice(self._copy_emitted, end + 1))
+                stats.regions_copied += 1
+                stats.tokens_copied += 1
+                self._copy_active = False
+                self._copy_tag = ""
+                self._copy_emitted = 0
+            elif not self._copy_active:
+                # Asymmetric table entries degrade gracefully to copying
+                # the closing tag itself.
+                self._emit(self._window.slice(start, end + 1))
+                stats.tokens_copied += 1
+        elif not self._copy_active:  # Action.COPY_TAG
             self._emit(self._window.slice(start, end + 1))
-            self.stats.tokens_copied += 1
-        return close_state
+            stats.tokens_copied += 1
+        return next_state
 
     # ------------------------------------------------------------------
     # Errors
@@ -500,6 +561,12 @@ class _FilterStreamBase:
         return RuntimeFilterError(
             "end of input reached before the runtime automaton accepted; "
             "the document does not conform to the DTD"
+        )
+
+    def _empty_frontier_error(self, state: int) -> RuntimeFilterError:
+        return RuntimeFilterError(
+            f"runtime state {state} has an empty frontier vocabulary but is "
+            "not final; the document does not conform to the DTD"
         )
 
     def _no_token_error(self) -> RuntimeFilterError:
@@ -559,9 +626,9 @@ class RuntimeStream(_FilterStreamBase):
         self._pending: PendingSearch | None = None
         self._match_pos = 0       # '<' offset of the current match
         self._keyword = b""
-        self._tag_cursor = 0      # end-of-tag scan position
-        self._quote = b""         # open quote needle (suspended skip)
-        self._quote_from = 0      # quote-skip resume offset
+        self._tag_cursor = 0      # end-of-tag scan resume offset
+        self._quote = b""         # open quote byte of a suspended scan
+        self._accel_mod = None
         if self._delivery == "accel":
             self._accel_mod = load_accel()
             #: state -> (capsule, symbols, matcher) of the C token kernel
@@ -645,11 +712,7 @@ class RuntimeStream(_FilterStreamBase):
         if self._done:
             return
         try:
-            if self._delivery == "accel":
-                accepted = self._drive_accel()
-            else:
-                accepted = self._drive()
-            if not accepted:
+            if not self._drive():
                 return
             self._done = True
             self._keep_from = self._window.end
@@ -686,9 +749,10 @@ class RuntimeStream(_FilterStreamBase):
         stats = self.stats.copy()
         self._runtime._collect_matcher_statistics(stats)
         snapshot = self._export_common()
-        snapshot["stats"] = stats.export_state()
         snapshot.update(
             kind="stream",
+            stats=stats.export_state(),
+            window=self._window.snapshot(),
             delivery=self._delivery,
             input_offset=self.stats.input_size,
             state=self._state,
@@ -708,7 +772,7 @@ class RuntimeStream(_FilterStreamBase):
                 keyword=self._keyword,
                 tag_cursor=self._tag_cursor,
                 quote=self._quote,
-                quote_from=self._quote_from,
+                quote_from=self._tag_cursor,
                 pending=_freeze_pending(self._pending),
             )
         return snapshot
@@ -744,6 +808,7 @@ class RuntimeStream(_FilterStreamBase):
                     f"{delivery!r}; resume with the same delivery"
                 )
         self._import_common(snapshot)
+        self._window.restore(snapshot["window"])
         state = int(snapshot["state"])
         cursor = int(snapshot["cursor"])
         self._done = bool(snapshot["done"])
@@ -758,228 +823,23 @@ class RuntimeStream(_FilterStreamBase):
                 self._c_phase, self._c_begin, self._c_pos,
                 self._c_kwi, self._c_aux, self._c_quote,
             ) = (int(value) for value in snapshot["c"])
-            ctx = self._accel_ctx.get(state)
-            if ctx is None:
-                ctx = self._accel_context(state)
-            self._ctx = ctx
+            self._ctx = self._accel_context(state)
             return
         self._search_pos = int(snapshot.get("search_pos", cursor))
         self._match_pos = int(snapshot.get("match_pos", 0))
         self._keyword = bytes(snapshot.get("keyword", b"") or b"")
-        self._tag_cursor = int(snapshot.get("tag_cursor", 0))
-        quote = snapshot.get("quote", b"")
-        self._quote = bytes(quote) if quote else b""
-        self._quote_from = int(snapshot.get("quote_from", 0))
+        # A tag scan resumes at ``tag_cursor``; a scan inside a quoted
+        # value at ``quote_from`` (``quote`` is stale outside one).
+        if phase == _PH_QUOTE:
+            self._tag_cursor = int(snapshot["quote_from"])
+            self._quote = bytes(snapshot["quote"])
+        else:
+            self._tag_cursor = int(snapshot.get("tag_cursor", 0))
         self._pending = _thaw_pending(snapshot.get("pending"))
         self._matcher_obj = self._runtime._matcher(state)
 
     # ------------------------------------------------------------------
-    # Pure delivery: the explicit-state drive loop
-    # ------------------------------------------------------------------
-    def _token_transition(
-        self,
-        state: int,
-        symbol: Symbol,
-        start: int,
-        end: int,
-        bachelor: bool,
-    ) -> int:
-        """Take the transition for one accepted token and apply its action.
-
-        The inlined per-token fast path of the drive loops; bachelor
-        openings take :meth:`_bachelor_transition`.
-        """
-        if bachelor and symbol[0] == OPEN:
-            return self._bachelor_transition(state, symbol[1], start, end)
-        tables = self._tables
-        next_state = tables.transition.get(state, {}).get(symbol)
-        if next_state is None:
-            raise self._transition_error(state, symbol, start)
-        action = tables.actions.get(next_state)
-        if action is not None and action is not Action.NOP:
-            stats = self.stats
-            if action is Action.COPY_ON:
-                if not self._copy_active:
-                    self._copy_active = True
-                    self._copy_tag = symbol[1]
-                    self._copy_emitted = start
-            elif action is Action.COPY_OFF:
-                if self._copy_active and symbol[1] == self._copy_tag:
-                    self._emit(self._window.slice(self._copy_emitted, end + 1))
-                    stats.regions_copied += 1
-                    stats.tokens_copied += 1
-                    self._copy_active = False
-                    self._copy_tag = ""
-                    self._copy_emitted = 0
-                elif not self._copy_active:
-                    # Asymmetric table entries degrade gracefully to
-                    # copying the closing tag itself.
-                    self._emit(self._window.slice(start, end + 1))
-                    stats.tokens_copied += 1
-            elif not self._copy_active:  # Action.COPY_TAG
-                self._emit(self._window.slice(start, end + 1))
-                stats.tokens_copied += 1
-        return next_state
-
-    def _drive(self) -> bool:
-        """Run the Figure-4 loop over the buffered window.
-
-        One call consumes every token decidable from the buffered input in
-        a single tight loop, suspends by returning ``False`` (resume state
-        held in instance fields, phase constants ``_PH_*``) and returns
-        ``True`` once the automaton accepted.  Suspended keyword searches
-        resume through the matchers' ``find_chunk`` contract and
-        ``local_scan_chars`` is accounted per scanned span, so output and
-        every statistic are byte-identical for any chunking.
-
-        Matches whose tag name merely extends the searched keyword (the
-        ``Abstract`` / ``AbstractText`` case) are rejected and the search
-        resumes just past them; every byte >= 0x80 counts as a name byte,
-        so the verdict never depends on where a chunk split a UTF-8
-        sequence.  The end-of-tag scan skips quoted attribute values, so a
-        ``>`` inside a value cannot end a tag early.
-        """
-        runtime = self._runtime
-        tables = runtime.tables
-        is_final = tables.is_final
-        jumps = tables.jumps
-        keyword_symbols = tables.keyword_symbols_bytes
-        stats = self.stats
-        window = self._window
-        find = window.find
-        text, tbase = window.view()
-        wend = window.end
-        eof = window.eof
-        state = self._state
-        phase = self._phase
-        try:
-            while True:
-                if phase == _PH_TOKEN:
-                    if is_final(state):
-                        if self._copy_active:
-                            raise self._unclosed_copy_error()
-                        return True
-                    cursor = self._cursor
-                    if cursor >= wend:
-                        if eof:
-                            raise self._incomplete_error()
-                        self._keep_from = cursor
-                        return False
-                    jump = jumps.get(state, 0)
-                    if jump:
-                        stats.initial_jumps += 1
-                        stats.initial_jump_chars += jump
-                        cursor += jump
-                    matcher = runtime._matcher(state)
-                    if matcher is None:
-                        raise RuntimeFilterError(
-                            f"runtime state {state} has an empty frontier "
-                            "vocabulary but is not final; the document does "
-                            "not conform to the DTD"
-                        )
-                    self._matcher_obj = matcher
-                    self._search_pos = cursor
-                    self._pending = None
-                    phase = _PH_SEARCH
-
-                if phase == _PH_SEARCH:
-                    outcome = self._matcher_obj.find_chunk(
-                        text,
-                        tbase,
-                        self._search_pos,
-                        wend,
-                        at_eof=eof,
-                        pending=self._pending,
-                    )
-                    if isinstance(outcome, PendingSearch):
-                        self._pending = outcome
-                        self._keep_from = outcome.keep_from
-                        return False
-                    if outcome is None:
-                        raise self._no_token_error()
-                    self._pending = None
-                    self._match_pos = outcome.position
-                    self._keyword = outcome.keyword
-                    phase = _PH_VERIFY
-
-                if phase == _PH_VERIFY:
-                    after = self._match_pos + len(self._keyword)
-                    if after >= wend and not eof:
-                        self._keep_from = self._match_pos
-                        return False
-                    if after < wend and is_name_byte(text[after - tbase]):
-                        # A longer tag name ("<AbstractText" while scanning
-                        # for "<Abstract"): resume past the false match.
-                        stats.local_scan_chars += 1
-                        self._search_pos = self._match_pos + 1
-                        self._pending = None
-                        phase = _PH_SEARCH
-                        continue
-                    self._tag_cursor = after
-                    phase = _PH_TAG
-
-                if phase == _PH_QUOTE:
-                    closing = find(self._quote, self._quote_from)
-                    if closing < 0:
-                        if eof:
-                            raise self._no_token_error()
-                        self._quote_from = wend
-                        self._keep_from = self._match_pos
-                        return False
-                    self._tag_cursor = closing + 1
-                    phase = _PH_TAG
-
-                # _PH_TAG: scan right for the closing '>' (quote-aware).
-                cursor = self._tag_cursor
-                while True:
-                    gt = find(b">", cursor)
-                    if gt < 0:
-                        if eof:
-                            raise self._no_token_error()
-                        self._tag_cursor = cursor
-                        self._keep_from = self._match_pos
-                        phase = _PH_TAG
-                        return False
-                    dq = find(b'"', cursor, gt)
-                    sq = find(b"'", cursor, gt)
-                    if dq < 0 and sq < 0:
-                        end = gt
-                        break
-                    if dq >= 0 and (sq < 0 or dq < sq):
-                        quote_at, needle = dq, b'"'
-                    else:
-                        quote_at, needle = sq, b"'"
-                    closing = find(needle, quote_at + 1)
-                    if closing < 0:
-                        if eof:
-                            raise self._no_token_error()
-                        self._quote = needle
-                        self._quote_from = wend
-                        self._keep_from = self._match_pos
-                        phase = _PH_QUOTE
-                        return False
-                    cursor = closing + 1
-
-                # Token complete: transition, action, next search origin.
-                keyword = self._keyword
-                start = self._match_pos
-                after = start + len(keyword)
-                stats.local_scan_chars += end - after + 1
-                bachelor = end > after and text[end - 1 - tbase] == _SLASH
-                stats.tokens_matched += 1
-                state = self._token_transition(
-                    state, keyword_symbols[state][keyword], start, end,
-                    bachelor,
-                )
-                self._cursor = end
-                self._keep_from = end
-                phase = _PH_TOKEN
-        finally:
-            self._state = state
-            self._phase = phase
-
-    # ------------------------------------------------------------------
-    # Accelerated delivery: the C token kernel (repro._accel)
+    # The drive loop
     # ------------------------------------------------------------------
     def _accel_context(self, state: int) -> tuple:
         """Compile the C search context of one automaton state (cached).
@@ -990,6 +850,8 @@ class RuntimeStream(_FilterStreamBase):
         into (so aggregated counters stay identical).
         """
         matcher = self._runtime._matcher(state)
+        if matcher is None:
+            raise self._empty_frontier_error(state)
         is_single = isinstance(matcher, SingleKeywordMatcher)
         keywords = (
             (matcher.keyword,) if is_single else tuple(matcher.keywords)
@@ -1003,27 +865,47 @@ class RuntimeStream(_FilterStreamBase):
         self._accel_ctx[state] = ctx
         return ctx
 
-    def _drive_accel(self) -> bool:
-        """The :meth:`_drive` loop with the per-token work done in C.
+    def _drive(self) -> bool:
+        """Run the Figure-4 loop over the buffered window.
 
-        The Python side keeps the automaton step (transitions, actions,
-        jump statistics); each ``find_token`` call runs frontier search,
-        false-match rejection and the quote-aware end-of-tag scan below
-        the interpreter, returning either one completed token, an explicit
-        resume vector (stored in the ``_c_*`` fields), or "no token".
-        Statistic deltas replay the native backend's formulas, so output
-        and counters are byte-identical to the pure paths.
+        One call consumes every token decidable from the buffered input,
+        suspends by returning ``False`` (resume state held in instance
+        fields, phase constants ``_PH_*``) and returns ``True`` once the
+        automaton accepted.  Per token: the acceptance check, table J, one
+        search step, then :meth:`take`.  The search step is one of two:
+
+        * ``"batched"``: the pure phases.  The frontier search resumes
+          through the matchers' ``find_chunk`` contract; a match whose tag
+          name merely extends the keyword (``<AbstractText`` while
+          searching ``<Abstract``) is rejected and the search resumes past
+          it -- every byte >= 0x80 counts as a name byte, so the verdict
+          never depends on where a chunk split a UTF-8 sequence; then
+          :func:`scan_tag_end` finds the closing ``>`` outside quoted
+          attribute values.  ``local_scan_chars`` is accounted per scanned
+          span.
+        * ``"accel"``: one ``find_token`` call runs the same three phases
+          in C and returns one completed token, an explicit resume vector
+          (the ``_c_*`` fields) or "no token"; its statistic deltas replay
+          the native backend's formulas.
+
+        Output and every statistic are byte-identical for any chunking and
+        either search step.
         """
         runtime = self._runtime
         tables = runtime.tables
         is_final = tables.is_final
         jumps = tables.jumps
+        keyword_symbols = tables.keyword_symbols_bytes
         stats = self.stats
         window = self._window
         text, tbase = window.view()
         wend = window.end
         eof = window.eof
-        find_token = self._accel_mod.find_token
+        find_token = None
+        if self._accel_mod is not None:
+            find_token = self._accel_mod.find_token
+            accel_ctx = self._accel_ctx
+        take = self.take
         state = self._state
         phase = self._phase
         try:
@@ -1044,60 +926,117 @@ class RuntimeStream(_FilterStreamBase):
                         stats.initial_jumps += 1
                         stats.initial_jump_chars += jump
                         cursor += jump
-                    ctx = self._accel_ctx.get(state)
-                    if ctx is None:
-                        if runtime._matcher(state) is None:
-                            raise RuntimeFilterError(
-                                f"runtime state {state} has an empty frontier "
-                                "vocabulary but is not final; the document "
-                                "does not conform to the DTD"
-                            )
-                        ctx = self._accel_context(state)
-                    self._ctx = ctx
-                    self._c_phase = 0  # SEARCH_NEW: counts one search
-                    self._c_begin = cursor
-                    self._c_pos = cursor
+                    if find_token is not None:
+                        ctx = accel_ctx.get(state)
+                        if ctx is None:
+                            ctx = self._accel_context(state)
+                        self._ctx = ctx
+                        self._c_phase = 0  # SEARCH_NEW: counts one search
+                        self._c_begin = cursor
+                        self._c_pos = cursor
+                    else:
+                        matcher = runtime._matcher(state)
+                        if matcher is None:
+                            raise self._empty_frontier_error(state)
+                        self._matcher_obj = matcher
+                        self._search_pos = cursor
+                        self._pending = None
                     phase = _PH_SEARCH
 
-                # _PH_SEARCH stands for the whole C-driven section here:
-                # the kernel advances through its own verify/tag/quote
-                # phases and reports them in the returned resume vector.
-                ctx = self._ctx
-                (
-                    status, c_phase, c_begin, c_pos, c_kwi, c_aux, c_quote,
-                    keep_from, tag_end, bachelor,
-                    d_searches, d_comparisons, d_shifts, d_shift_total,
-                    d_matches, d_local_scan,
-                ) = find_token(
-                    ctx[0], text, tbase, wend, eof,
-                    self._c_phase, self._c_begin, self._c_pos,
-                    self._c_kwi, self._c_aux, self._c_quote,
-                )
-                matcher_stats = ctx[2].stats
-                matcher_stats.searches += d_searches
-                matcher_stats.comparisons += d_comparisons
-                matcher_stats.shifts += d_shifts
-                matcher_stats.shift_total += d_shift_total
-                matcher_stats.matches += d_matches
-                stats.local_scan_chars += d_local_scan
-                if status == 1:  # suspended: more input needed
-                    self._c_phase = c_phase
-                    self._c_begin = c_begin
-                    self._c_pos = c_pos
-                    self._c_kwi = c_kwi
-                    self._c_aux = c_aux
-                    self._c_quote = c_quote
-                    self._keep_from = keep_from
-                    return False
-                if status == 2:
-                    raise self._no_token_error()
-                # Token complete: transition, action, next search origin.
+                if find_token is not None:
+                    # _PH_SEARCH stands for the whole C-driven section: the
+                    # kernel advances through its own verify/tag/quote
+                    # phases and reports them in the returned resume vector.
+                    ctx = self._ctx
+                    (
+                        status, c_phase, c_begin, c_pos, c_kwi, c_aux,
+                        c_quote, keep_from, end, bachelor,
+                        d_searches, d_comparisons, d_shifts, d_shift_total,
+                        d_matches, d_local_scan,
+                    ) = find_token(
+                        ctx[0], text, tbase, wend, eof,
+                        self._c_phase, self._c_begin, self._c_pos,
+                        self._c_kwi, self._c_aux, self._c_quote,
+                    )
+                    matcher_stats = ctx[2].stats
+                    matcher_stats.searches += d_searches
+                    matcher_stats.comparisons += d_comparisons
+                    matcher_stats.shifts += d_shifts
+                    matcher_stats.shift_total += d_shift_total
+                    matcher_stats.matches += d_matches
+                    stats.local_scan_chars += d_local_scan
+                    if status == 1:  # suspended: more input needed
+                        self._c_phase = c_phase
+                        self._c_begin = c_begin
+                        self._c_pos = c_pos
+                        self._c_kwi = c_kwi
+                        self._c_aux = c_aux
+                        self._c_quote = c_quote
+                        self._keep_from = keep_from
+                        return False
+                    if status == 2:
+                        raise self._no_token_error()
+                    symbol = ctx[1][c_kwi]
+                    start = c_pos
+                else:
+                    if phase == _PH_SEARCH:
+                        outcome = self._matcher_obj.find_chunk(
+                            text,
+                            tbase,
+                            self._search_pos,
+                            wend,
+                            at_eof=eof,
+                            pending=self._pending,
+                        )
+                        if isinstance(outcome, PendingSearch):
+                            self._pending = outcome
+                            self._keep_from = outcome.keep_from
+                            return False
+                        if outcome is None:
+                            raise self._no_token_error()
+                        self._pending = None
+                        self._match_pos = outcome.position
+                        self._keyword = outcome.keyword
+                        phase = _PH_VERIFY
+
+                    start = self._match_pos
+                    after = start + len(self._keyword)
+                    if phase == _PH_VERIFY:
+                        if after >= wend and not eof:
+                            self._keep_from = start
+                            return False
+                        if after < wend and is_name_byte(text[after - tbase]):
+                            # A longer tag name: resume past the false match.
+                            stats.local_scan_chars += 1
+                            self._search_pos = start + 1
+                            self._pending = None
+                            phase = _PH_SEARCH
+                            continue
+                        self._tag_cursor = after
+                        self._quote = b""
+
+                    # _PH_TAG / _PH_QUOTE: the closing '>' outside quotes.
+                    end, quote, resume = scan_tag_end(
+                        text, self._tag_cursor - tbase, self._quote
+                    )
+                    if end < 0:
+                        if eof:
+                            raise self._no_token_error()
+                        self._tag_cursor = resume + tbase
+                        self._quote = quote
+                        self._keep_from = start
+                        phase = _PH_QUOTE if quote else _PH_TAG
+                        return False
+                    end += tbase
+                    stats.local_scan_chars += end - after + 1
+                    bachelor = end > after and text[end - 1 - tbase] == _SLASH
+                    symbol = keyword_symbols[state][self._keyword]
+
+                # Token complete: the Figure-4 step, next search origin.
                 stats.tokens_matched += 1
-                state = self._token_transition(
-                    state, ctx[1][c_kwi], c_pos, tag_end, bool(bachelor),
-                )
-                self._cursor = tag_end
-                self._keep_from = tag_end
+                state = take(state, symbol, start, end, bachelor)
+                self._cursor = end
+                self._keep_from = end
                 phase = _PH_TOKEN
         finally:
             self._state = state
@@ -1133,7 +1072,7 @@ class StepProgram(NamedTuple):
     capsule: object                 #: ``repro._accel.step`` capsule
     state_rows: "dict[int, int]"    #: automaton state id -> table row
     state_ids: "tuple[int, ...]"    #: table row -> automaton state id
-    tag_ids: "dict[str, int]"       #: tag name -> interned id (0 = none)
+    tag_ids: "dict[str, int]"       #: tag name -> interned id ("" -> 0)
     tag_names: "tuple[str, ...]"    #: interned id -> tag name
 
 
@@ -1166,7 +1105,7 @@ def compile_step_tables(
     b_next_tab = array("q", [-2]) * cells
     jump_tab = array("q", bytes(8 * state_count))
     final_tab = array("q", bytes(8 * state_count))
-    tag_ids: dict[str, int] = {}
+    tag_ids: dict[str, int] = {"": 0}
     tag_names: list[str] = [""]
 
     def intern(tag: str) -> int:
@@ -1202,16 +1141,9 @@ def compile_step_tables(
                 )
                 if close_state is not None:
                     b_next_tab[cell] = rows[close_state]
-                    open_action = tables.T(next_state)
-                    close_action = tables.T(close_state)
-                    wants_copy = (
-                        open_action in (Action.COPY_TAG, Action.COPY_ON)
-                        or close_action in (Action.COPY_TAG, Action.COPY_OFF)
-                    ) and not (
-                        open_action is Action.NOP
-                        and close_action is Action.NOP
-                    )
-                    if wants_copy:
+                    if _bachelor_copies(
+                        tables.T(next_state), tables.T(close_state)
+                    ):
                         flags |= _CF_BACHELOR_COPY
             flags_tab[cell] = flags
     capsule = accel_mod.compile_step(
@@ -1233,9 +1165,9 @@ class DrivenStream(_FilterStreamBase):
     :class:`RuntimeStream` would have decided: occurrences below the current
     search origin (cursor plus table-J jump) are skipped unseen, false
     matches are rejected with the same ``local_scan_chars`` accounting,
-    accepted tokens drive the same transitions and copy actions against the
-    *shared* window.  Matcher-level counters (comparisons, shifts) live with
-    the shared scan -- that is the work the engine saves -- so this stream's
+    accepted tokens drive the same :meth:`take` step against the *shared*
+    window.  Matcher-level counters (comparisons, shifts) live with the
+    shared scan -- that is the work the engine saves -- so this stream's
     statistics carry the structural counters only.
 
     Keywords are the UTF-8 byte keywords of the shared scan; all offsets
@@ -1259,23 +1191,26 @@ class DrivenStream(_FilterStreamBase):
         start_at: int = 0,
     ) -> None:
         super().__init__(tables, window, sink, binary)
-        self._state = tables.initial_state
-        self._vocabulary = tables.keyword_symbols_bytes.get(self._state, {})
-        self._transitions = tables.transition.get(self._state, {})
-        self._jumps = tables.jumps
-        self._actions = tables.actions
         self._final_states = frozenset(
             state.state_id for state in tables.automaton.states if state.is_final
         )
+        self._done = False
+        self._enter(tables.initial_state)
         self._search_from = start_at
         self._pending_jump = True
         self._last_position = -1
-        self._done = self._state in self._final_states
 
     @property
     def accepted(self) -> bool:
         """True once the runtime automaton reached a final state."""
         return self._done
+
+    def _enter(self, state: int) -> None:
+        """Move to ``state``: its frontier vocabulary, and acceptance."""
+        self._state = state
+        self._vocabulary = self._tables.keyword_symbols_bytes.get(state, {})
+        if state in self._final_states:
+            self._done = True
 
     def subscription_keywords(self) -> tuple[bytes, ...]:
         """The byte keywords of the current state's frontier vocabulary.
@@ -1301,19 +1236,32 @@ class DrivenStream(_FilterStreamBase):
             return self._copy_emitted
         return None
 
-    def _resolve_jump(self, state: int) -> None:
-        """Apply table J on entering ``state``, once input is known to follow.
+    def _takes(self, keyword: bytes, start: int):
+        """The symbol of an occurrence of ``keyword`` at ``start`` when this
+        stream takes it, else ``None``.
 
         The searching runtime adds J[q] to its cursor before the first
         search in a state; a delivered occurrence proves input follows the
         cursor, so the jump is resolved (and counted) on first delivery.
+        Occurrences below the search origin, outside the current frontier
+        vocabulary, or at the position a longer vocabulary keyword already
+        took (the leftmost-longest search never reports those) are not
+        taken.  ``stream_takes`` in ``_accel.c`` is the C twin.
         """
-        jump = self._jumps.get(state, 0)
-        if jump:
-            self.stats.initial_jumps += 1
-            self.stats.initial_jump_chars += jump
-            self._search_from += jump
-        self._pending_jump = False
+        if self._done:
+            # Accepted automata ignore trailing tokens, like the searching
+            # runtime ignores trailing input.
+            return None
+        if self._pending_jump:
+            jump = self._tables.jumps.get(self._state, 0)
+            if jump:
+                self.stats.initial_jumps += 1
+                self.stats.initial_jump_chars += jump
+                self._search_from += jump
+            self._pending_jump = False
+        if start < self._search_from or start == self._last_position:
+            return None
+        return self._vocabulary.get(keyword)
 
     def push_false_match(self, keyword: bytes, start: int) -> None:
         """Deliver one false-match occurrence (tag name extends ``keyword``).
@@ -1322,20 +1270,9 @@ class DrivenStream(_FilterStreamBase):
         match of its current vocabulary and resumes just past it; this
         replays that accounting.
         """
-        if self._done:
-            return
-        if self._pending_jump:
-            self._resolve_jump(self._state)
-        if start < self._search_from:
-            return
-        if keyword not in self._vocabulary:
-            return
-        if start == self._last_position:
-            # A longer vocabulary keyword at the same position was already
-            # considered; the leftmost-longest search never reports this one.
-            return
-        self._last_position = start
-        self.stats.local_scan_chars += 1
+        if self._takes(keyword, start) is not None:
+            self._last_position = start
+            self.stats.local_scan_chars += 1
 
     def push_token(
         self, keyword: bytes, start: int, end: int, is_bachelor: bool, scan_chars: int
@@ -1349,93 +1286,47 @@ class DrivenStream(_FilterStreamBase):
         frontier vocabulary may have changed -- so the engine can refresh
         this stream's keyword subscription.
         """
-        if self._done:
-            # Accepted automata ignore trailing tokens, like the searching
-            # runtime ignores trailing input.
-            return False
-        state = self._state
-        if self._pending_jump:
-            self._resolve_jump(state)
-        if start < self._search_from:
-            return False
-        vocabulary = self._vocabulary
-        if keyword not in vocabulary:
-            return False
-        if start == self._last_position:
-            # Shadowed by a longer vocabulary keyword at the same position.
+        symbol = self._takes(keyword, start)
+        if symbol is None:
             return False
         stats = self.stats
         stats.local_scan_chars += scan_chars
         stats.tokens_matched += 1
-        symbol = vocabulary[keyword]
-        if is_bachelor and symbol[0] == OPEN:
-            next_state = self._bachelor_transition(state, symbol[1], start, end)
-        else:
-            # Inlined non-bachelor transition and actions (same semantics
-            # as RuntimeStream._token_transition).
-            next_state = self._transitions.get(symbol)
-            if next_state is None:
-                raise self._transition_error(state, symbol, start)
-            action = self._actions.get(next_state)
-            if action is not None and action is not Action.NOP:
-                if action is Action.COPY_ON:
-                    if not self._copy_active:
-                        self._copy_active = True
-                        self._copy_tag = symbol[1]
-                        self._copy_emitted = start
-                elif action is Action.COPY_OFF:
-                    if self._copy_active and symbol[1] == self._copy_tag:
-                        self._emit(self._window.slice(self._copy_emitted, end + 1))
-                        stats.regions_copied += 1
-                        stats.tokens_copied += 1
-                        self._copy_active = False
-                        self._copy_tag = ""
-                        self._copy_emitted = 0
-                    elif not self._copy_active:
-                        # Asymmetric table entries degrade gracefully to
-                        # copying the closing tag itself.
-                        self._emit(self._window.slice(start, end + 1))
-                        stats.tokens_copied += 1
-                elif not self._copy_active:  # Action.COPY_TAG
-                    self._emit(self._window.slice(start, end + 1))
-                    stats.tokens_copied += 1
-        tables = self._tables
-        self._state = next_state
-        self._vocabulary = tables.keyword_symbols_bytes.get(next_state, {})
-        self._transitions = tables.transition.get(next_state, {})
+        self._enter(self.take(self._state, symbol, start, end, is_bachelor))
         self._search_from = end
         self._pending_jump = True
         self._last_position = -1
-        if next_state in self._final_states:
-            self._done = True
         return True
 
     # ------------------------------------------------------------------
-    # Native stepping (the C ``step_events`` kernel)
+    # The 16-slot state block (native stepping and checkpoints)
     # ------------------------------------------------------------------
-    def export_native(self, out, base: int, program: StepProgram) -> None:
-        """Write this stream's state into one 16-slot native step block.
+    def _write_block(self, out, base: int, row: int, tag_id: int) -> None:
+        """Write this stream's state into the 16 slots of ``out`` from
+        ``base`` on (the ``SS_*`` layout of ``_accel.c``).
 
-        ``out`` is the engine's shared ``array('q')`` and ``base`` the
-        block's first slot.  The statistic-delta slots are zeroed; the
-        kernel accumulates into them and :meth:`import_native` folds them
-        back into :attr:`stats`.
+        ``row`` and ``tag_id`` encode the state and the open copy region's
+        tag: the step program's row and interned id for ``step_events``,
+        the raw state id and 0 in a checkpoint.  The statistic-delta slots
+        are zeroed.
         """
         out[base] = 0 if self._done else 1
-        out[base + 1] = program.state_rows[self._state]
+        out[base + 1] = row
         out[base + 2] = self._search_from
         out[base + 3] = 1 if self._pending_jump else 0
         out[base + 4] = self._last_position
         out[base + 5] = 1 if self._copy_active else 0
-        out[base + 6] = (
-            program.tag_ids[self._copy_tag] if self._copy_active else 0
-        )
+        out[base + 6] = tag_id
         out[base + 7] = self._copy_emitted
-        for slot in range(base + 8, base + 16):
+        for slot in range(base + 8, base + 14):
             out[slot] = 0
+        out[base + 14] = 1 if self._done else 0
+        out[base + 15] = 0
 
-    def import_native(self, block, base: int, program: StepProgram) -> None:
-        """Fold one native step block back into this stream's state."""
+    def _read_block(self, block, base: int, state: int, copy_tag: str) -> None:
+        """Fold a block written by :meth:`_write_block` (and advanced by
+        the kernel) back into this stream: the state it decodes to, the
+        cursor and copy-region slots, and the statistic deltas."""
         stats = self.stats
         stats.local_scan_chars += block[base + 8]
         stats.tokens_matched += block[base + 9]
@@ -1443,73 +1334,54 @@ class DrivenStream(_FilterStreamBase):
         stats.regions_copied += block[base + 11]
         stats.initial_jumps += block[base + 12]
         stats.initial_jump_chars += block[base + 13]
-        state = program.state_ids[block[base + 1]]
         if state != self._state:
-            tables = self._tables
-            self._state = state
-            self._vocabulary = tables.keyword_symbols_bytes.get(state, {})
-            self._transitions = tables.transition.get(state, {})
+            self._enter(state)
         self._search_from = block[base + 2]
         self._pending_jump = bool(block[base + 3])
         self._last_position = block[base + 4]
         self._copy_active = bool(block[base + 5])
-        self._copy_tag = (
-            program.tag_names[block[base + 6]] if self._copy_active else ""
-        )
+        self._copy_tag = copy_tag if self._copy_active else ""
         self._copy_emitted = block[base + 7]
         if block[base + 14]:
             self._done = True
 
-    # ------------------------------------------------------------------
-    # Checkpoint: capture and restore
-    # ------------------------------------------------------------------
+    def export_native(self, out, base: int, program: StepProgram) -> None:
+        """Write this stream into the engine's ``step_events`` state array."""
+        self._write_block(
+            out, base, program.state_rows[self._state],
+            program.tag_ids[self._copy_tag],
+        )
+
+    def import_native(self, block, base: int, program: StepProgram) -> None:
+        """Fold one stepped native block back into this stream."""
+        self._read_block(
+            block, base, program.state_ids[block[base + 1]],
+            program.tag_names[block[base + 6]],
+        )
+
     def export_state(self) -> dict:
         """Capture this stream's resume state as plain data.
 
-        The automaton coordinates ride in the same flat layout as the
-        16-slot native step block of :meth:`export_native` (slot 6, the
-        per-process interned tag id, travels as the tag name itself, and
-        the raw state id replaces the program row).  The shared window is
-        *not* included: it belongs to the session, which snapshots it once
-        for all queries.
+        The automaton coordinates ride in the 16-slot block layout, with
+        the raw state id in slot 1 and the copy tag as its name (slot 6 is
+        0).  The shared window is *not* included: it belongs to the
+        session, which snapshots it once for all queries.
         """
-        snapshot = self._export_common(with_window=False)
+        snapshot = self._export_common()
         snapshot["kind"] = "driven"
-        snapshot["block"] = [
-            0 if self._done else 1,
-            self._state,
-            self._search_from,
-            1 if self._pending_jump else 0,
-            self._last_position,
-            1 if self._copy_active else 0,
-            0,
-            self._copy_emitted,
-            0, 0, 0, 0, 0, 0,
-            1 if self._done else 0,
-            0,
-        ]
+        block = [0] * 16
+        self._write_block(block, 0, self._state, 0)
+        snapshot["block"] = block
         return snapshot
 
     def import_state(self, snapshot: dict) -> None:
-        """Restore a snapshot captured by :meth:`export_state`.
-
-        The caller (the multi-query session) restores the shared window
-        separately; this only rebuilds the per-query machine, including
-        the state-derived vocabulary and transition views.
-        """
+        """Restore a snapshot captured by :meth:`export_state` (the caller,
+        the multi-query session, restores the shared window)."""
         if snapshot.get("kind") != "driven":
             raise CheckpointError("snapshot is not a driven-stream checkpoint")
-        self._import_common(snapshot, with_window=False)
+        self._import_common(snapshot)
         block = [int(value) for value in snapshot["block"]]
-        tables = self._tables
-        state = block[1]
-        self._state = state
-        self._vocabulary = tables.keyword_symbols_bytes.get(state, {})
-        self._transitions = tables.transition.get(state, {})
-        self._search_from = block[2]
-        self._pending_jump = bool(block[3])
-        self._last_position = block[4]
-        self._done = bool(block[14])
+        self._read_block(block, 0, block[1], self._copy_tag)
 
     def flush_copy(self, limit: int) -> None:
         """Emit the open copy region up to ``limit``.

@@ -142,6 +142,25 @@ class ChunkCursor:
             raise ValueError("rebase() requires a fresh, empty cursor")
         self.base = base
 
+    def snapshot(self) -> dict:
+        """The retained window as checkpoint data: its base offset, the
+        bytes buffered from there on and the end-of-input flag."""
+        low = self.base
+        return {
+            "base": low,
+            "data": self.slice(low, self.end) if self.end > low else b"",
+            "eof": self.eof,
+        }
+
+    def restore(self, snapshot: dict) -> None:
+        """Re-create a :meth:`snapshot` in this fresh, empty cursor."""
+        self.rebase(int(snapshot["base"]))
+        data = snapshot["data"]
+        if data:
+            self.append(bytes(data))
+        if snapshot["eof"]:
+            self.close()
+
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
