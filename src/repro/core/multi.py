@@ -20,6 +20,14 @@ stream::
 (The public one-shot spelling is ``repro.api.Engine([q2, q5, q7]).run(
 source)``.)
 
+The shared scan is the second of the two event sources of the one
+Figure-4 step (:meth:`~repro.core.runtime._FilterStreamBase.take`; the
+first is a searching stream's own search).  It has two deliveries: the
+pure union-pattern loop calls each subscribed stream's ``push_token``,
+which takes that step, and the C ``step_events`` kernel runs the same
+step from tables :func:`~repro.core.runtime.compile_step_tables` derives
+from it.
+
 Equivalence: each driven stream replays exactly the decisions its private
 :class:`~repro.core.runtime.RuntimeStream` would have made, so per-query
 output and the structural statistics (tokens matched/copied, regions,
