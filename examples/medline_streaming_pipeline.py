@@ -3,11 +3,9 @@
 The paper's Figure 7(b) pipes SMP output directly into the SPEX streaming
 XPath evaluator and observes that the pipeline runs at nearly the speed of
 prefiltering alone.  This example replays that experiment on the synthetic
-MEDLINE workload: every Table II query M1-M5 is evaluated once on the raw
-document, once on the prefiltered document, and once through the *true
-streaming* :class:`repro.pipeline.XPathPipeline`, where the document flows
-through prefilter, tokenizer and evaluator in 64 KiB chunks without any
-whole-document string; all three must return identical results.
+MEDLINE workload: every Table II query M1-M5 is evaluated by the streaming
+engine once on the raw document ("alone") and once on its SMP projection
+("SMP + evaluate"); both must return identical results.
 
 Run with::
 
@@ -20,7 +18,6 @@ import argparse
 import time
 
 from repro import api
-from repro.pipeline import XPathPipeline
 from repro.workloads.medline import MEDLINE_QUERIES, MEDLINE_QUERY_ORDER, \
     generate_medline_document, medline_dtd
 from repro.xpath import StreamingXPathEngine
@@ -40,7 +37,7 @@ def main() -> None:
 
     header = (
         f"{'query':<4} {'results':>8} {'alone s':>9} {'smp s':>7} "
-        f"{'pipeline s':>11} {'stream s':>9} {'alone MB/s':>11} {'pipeline MB/s':>14}"
+        f"{'pipeline s':>11} {'alone MB/s':>11} {'pipeline MB/s':>14}"
     )
     print(header)
     print("-" * len(header))
@@ -66,17 +63,6 @@ def main() -> None:
         piped_results = engine.evaluate(projected)
         pipeline_seconds = smp_seconds + (time.perf_counter() - start)
 
-        # The unified streaming pipeline: prefilter -> project -> evaluate
-        # chunk by chunk, without any whole-document intermediate string.
-        streaming_pipeline = XPathPipeline(
-            dtd, spec.query, backend="native", paths=spec.parsed_paths()
-        )
-        start = time.perf_counter()
-        outcome = streaming_pipeline.evaluate(
-            api.Source.from_text(document, chunk_size=64 * 1024)
-        )
-        stream_seconds = time.perf_counter() - start
-
         def rendered(items):
             return sorted(
                 item.serialize() if hasattr(item, "serialize") else str(item)
@@ -84,16 +70,14 @@ def main() -> None:
             )
 
         assert rendered(alone_results) == rendered(piped_results)
-        assert rendered(alone_results) == rendered(outcome.results)
         print(
             f"{name:<4} {len(piped_results):>8} {alone_seconds:>9.3f} {smp_seconds:>7.3f} "
-            f"{pipeline_seconds:>11.3f} {stream_seconds:>9.3f} "
+            f"{pipeline_seconds:>11.3f} "
             f"{size_mb / alone_seconds:>11.2f} "
             f"{size_mb / pipeline_seconds:>14.2f}"
         )
 
-    print("\nevery query returned identical results with and without prefiltering,")
-    print("including the chunked end-to-end pipeline (no whole-document strings)")
+    print("\nevery query returned identical results with and without prefiltering")
 
 
 if __name__ == "__main__":

@@ -39,11 +39,12 @@ with mid-stream query management::
 
 The asyncio bridge (:mod:`repro.aio`) serves the same dataflow over
 sockets -- ``await aio.serve(engine)`` multiplexes one document in, N
-labelled projection streams out, with sink backpressure -- and the
-end-to-end pipeline (prefilter → project → evaluate) lives in
-:class:`repro.pipeline.XPathPipeline`.  The same functionality is available
-from the shell as ``python -m repro``.  Any live session can be captured
-to a durable, checksummed :class:`Checkpoint` (``session.checkpoint(path)``)
+labelled projection streams out, with sink backpressure.  The Figure 7(b)
+pairing evaluates XPath on a projection with
+:meth:`repro.xpath.StreamingXPathEngine.evaluate`.  The same functionality
+is available from the shell as ``python -m repro``.  Any live session can
+be captured to a durable, checksummed :class:`Checkpoint`
+(``session.checkpoint(path)``)
 and resumed after a crash via ``engine.open(resume=path)``; corpus runs
 journal per-document results for exactly-once restart
 (:mod:`repro.checkpoint`).

@@ -932,214 +932,6 @@ done:
     return result;
 }
 
-/* ====================================================================
- * Tokenizer boundary kernel (TokenizerSession's completeness scan)
- * ==================================================================== */
-
-/* ``str.find(needle, from)`` over a byte window, needle length 2-3. */
-static Py_ssize_t
-find_sub(const unsigned char *text, Py_ssize_t from, Py_ssize_t limit,
-         const char *needle, Py_ssize_t nlen)
-{
-    Py_ssize_t p = from < 0 ? 0 : from;
-    while (p + nlen <= limit) {
-        const unsigned char *hit =
-            memchr(text + p, (unsigned char)needle[0],
-                   (size_t)(limit - p - nlen + 1));
-        if (hit == NULL)
-            return -1;
-        Py_ssize_t c = hit - text;
-        if (memcmp(text + c, needle, (size_t)nlen) == 0)
-            return c;
-        p = c + 1;
-    }
-    return -1;
-}
-
-static Py_ssize_t
-find_byte(const unsigned char *text, Py_ssize_t from, Py_ssize_t limit,
-          int ch)
-{
-    if (from >= limit)
-        return -1;
-    const unsigned char *hit =
-        memchr(text + from, ch, (size_t)(limit - from));
-    return hit == NULL ? -1 : hit - text;
-}
-
-/* C port of ``TokenizerSession._markup_end`` over a UCS1 buffer: the end
- * offset of the markup construct at ``text[offset]``, or -1 (needs more
- * input) with the resumable (scan, depth, quote) state advanced exactly
- * like the Python scan does. */
-static Py_ssize_t
-str_markup_end(const unsigned char *text, Py_ssize_t L, Py_ssize_t offset,
-               Py_ssize_t *scan, Py_ssize_t *depth, int *quote)
-{
-    if (L - offset < 2)
-        return -1;
-    unsigned char second = text[offset + 1];
-    if (second == '?') {
-        Py_ssize_t from = offset + (*scan > 2 ? *scan : 2);
-        Py_ssize_t found = find_sub(text, from, L, "?>", 2);
-        if (found < 0) {
-            Py_ssize_t ns = L - offset - 1;
-            *scan = ns > 2 ? ns : 2;
-            return -1;
-        }
-        return found + 2;
-    }
-    if (second == '!') {
-        static const struct {
-            const char *prefix;
-            Py_ssize_t plen;
-            const char *term;
-            Py_ssize_t tlen;
-            Py_ssize_t body;
-        } decls[2] = {
-            {"<!--", 4, "-->", 3, 4},
-            {"<![CDATA[", 9, "]]>", 3, 9},
-        };
-        Py_ssize_t avail = L - offset;
-        for (int d = 0; d < 2; d++) {
-            Py_ssize_t n = decls[d].plen < avail ? decls[d].plen : avail;
-            if (memcmp(text + offset, decls[d].prefix, (size_t)n) == 0) {
-                if (avail < decls[d].plen)
-                    return -1; /* still ambiguous: wait for the full prefix */
-                Py_ssize_t from = offset +
-                    (*scan > decls[d].body ? *scan : decls[d].body);
-                Py_ssize_t found =
-                    find_sub(text, from, L, decls[d].term, decls[d].tlen);
-                if (found < 0) {
-                    Py_ssize_t ns = L - offset - decls[d].tlen + 1;
-                    *scan = ns > decls[d].body ? ns : decls[d].body;
-                    return -1;
-                }
-                return found + decls[d].tlen;
-            }
-        }
-        {
-            Py_ssize_t n = avail < 9 ? avail : 9;
-            if (memcmp(text + offset, "<!DOCTYPE", (size_t)n) == 0) {
-                if (avail < 9)
-                    return -1;
-                /* Bracket-depth scan with the depth carried across
-                 * suspensions, like the Python loop. */
-                Py_ssize_t cursor = offset + (*scan > 9 ? *scan : 9);
-                Py_ssize_t dep = *depth;
-                for (;;) {
-                    Py_ssize_t gt = find_byte(text, cursor, L, '>');
-                    Py_ssize_t limit = gt < 0 ? L : gt;
-                    Py_ssize_t lb = find_byte(text, cursor, limit, '[');
-                    Py_ssize_t rb = find_byte(text, cursor, limit, ']');
-                    if (lb >= 0 && (rb < 0 || lb < rb)) {
-                        dep += 1;
-                        cursor = lb + 1;
-                        continue;
-                    }
-                    if (rb >= 0) {
-                        dep -= 1;
-                        cursor = rb + 1;
-                        continue;
-                    }
-                    if (gt >= 0 && dep <= 0) {
-                        *depth = dep;
-                        return gt + 1;
-                    }
-                    if (gt < 0) {
-                        *depth = dep;
-                        *scan = L - offset;
-                        return -1;
-                    }
-                    cursor = gt + 1; /* a '>' inside the internal subset */
-                }
-            }
-        }
-        return L; /* unrecognised declaration: the reader raises */
-    }
-    /* A start or end tag: scan for '>' outside quoted attribute values. */
-    {
-        Py_ssize_t cursor = offset + (*scan > 1 ? *scan : 1);
-        for (;;) {
-            if (*quote) {
-                Py_ssize_t closing = find_byte(text, cursor, L, *quote);
-                if (closing < 0) {
-                    *scan = L - offset;
-                    return -1;
-                }
-                *quote = 0;
-                cursor = closing + 1;
-            }
-            Py_ssize_t gt = find_byte(text, cursor, L, '>');
-            Py_ssize_t limit = gt < 0 ? L : gt;
-            Py_ssize_t dq = find_byte(text, cursor, limit, '"');
-            Py_ssize_t sq = find_byte(text, cursor, limit, '\'');
-            if (dq < 0 && sq < 0) {
-                if (gt < 0) {
-                    *scan = L - offset;
-                    return -1;
-                }
-                return gt + 1;
-            }
-            if (dq >= 0 && (sq < 0 || dq < sq)) {
-                *quote = '"';
-                cursor = dq + 1;
-            }
-            else {
-                *quote = '\'';
-                cursor = sq + 1;
-            }
-        }
-    }
-}
-
-static PyObject *
-accel_scan_str_tokens(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyObject *textobj;
-    int eof, quote;
-    Py_ssize_t scan, depth;
-    if (!PyArg_ParseTuple(args, "Opnni", &textobj, &eof, &scan, &depth,
-                          &quote))
-        return NULL;
-    if (!PyUnicode_Check(textobj)) {
-        PyErr_SetString(PyExc_TypeError, "expected a str buffer");
-        return NULL;
-    }
-    if (PyUnicode_KIND(textobj) != PyUnicode_1BYTE_KIND)
-        Py_RETURN_NONE; /* non-latin-1 text: the Python loop handles it */
-    Py_ssize_t L = PyUnicode_GET_LENGTH(textobj);
-    if (eof) {
-        /* At end of input every buffered token is complete (or raises in
-         * the reader); no resume state survives. */
-        return Py_BuildValue("(nnni)", L, (Py_ssize_t)0, (Py_ssize_t)0, 0);
-    }
-    const unsigned char *text =
-        (const unsigned char *)PyUnicode_1BYTE_DATA(textobj);
-    Py_ssize_t offset = 0;
-    while (offset < L) {
-        if (text[offset] == '<') {
-            Py_ssize_t end =
-                str_markup_end(text, L, offset, &scan, &depth, &quote);
-            if (end < 0)
-                break;
-            offset = end;
-        }
-        else {
-            Py_ssize_t lt = find_byte(text, offset + scan, L, '<');
-            if (lt < 0) {
-                scan = L - offset;
-                break;
-            }
-            offset = lt;
-        }
-        /* The incoming resume state belongs to the head token only. */
-        scan = 0;
-        depth = 0;
-        quote = 0;
-    }
-    return Py_BuildValue("(nnni)", offset, scan, depth, quote);
-}
-
 static PyMethodDef accel_methods[] = {
     {"compile_keywords", accel_compile_keywords, METH_VARARGS,
      "compile_keywords(keywords, is_single) -> capsule\n\n"
@@ -1181,14 +973,6 @@ static PyMethodDef accel_methods[] = {
      "error; nothing was mutated for the offending event), 4 output\n"
      "full: the buffers hold >= 64 KiB (emit them, call again from\n"
      "next_from)."},
-    {"scan_str_tokens", accel_scan_str_tokens, METH_VARARGS,
-     "scan_str_tokens(text, eof, scan, doctype_depth, quote)\n"
-     "-> (complete_until, scan, doctype_depth, quote) or None\n\n"
-     "Tokenizer boundary sweep over a str buffer (latin-1 storage only;\n"
-     "returns None for wider text): complete_until is the offset up to\n"
-     "which the buffer holds only complete tokens, the remaining fields\n"
-     "are the resumable completeness-scan state of the incomplete tail\n"
-     "(TokenizerSession._markup_end semantics)."},
     {NULL, NULL, 0, NULL},
 };
 

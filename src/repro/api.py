@@ -1,12 +1,7 @@
 """The unified dataflow API: Source → Query → Engine → Sink.
 
-Three generations of entry points grew on top of the SMP prefilter — the
-``filter_document/bytes/file/mmap/stream`` matrix on
-:class:`~repro.core.prefilter.SmpPrefilter`, the same matrix again on
-:class:`~repro.core.multi.MultiQueryEngine`, and the ``run_*`` variants of
-:class:`~repro.pipeline.XPathPipeline`.  Every new input kind multiplied
-every engine kind.  This module collapses that surface into four composable
-pieces:
+The entry point of the SMP prefilter, for every input kind and
+every engine kind, built from four composable pieces:
 
 * :class:`Source` — *where the bytes come from*: text, bytes, files, memory
   maps, stdin, sockets or arbitrary chunk iterables, with uniform
@@ -1125,19 +1120,6 @@ class Engine:
         self.labels: list[str] = [query.label for query in normalized]
         self.plans: list[SmpPrefilter] = [query.plan() for query in normalized]
         self._multi: MultiQueryEngine | None = None
-
-    @classmethod
-    def _wrap_multi(cls, multi: MultiQueryEngine) -> "Engine":
-        """An engine over an existing shared-scan engine (the legacy shims)."""
-        self = cls(
-            [
-                Query.from_plan(plan, label=label)
-                for plan, label in zip(multi.prefilters, multi.labels)
-            ],
-            mode="shared",
-        )
-        self._multi = multi
-        return self
 
     # ------------------------------------------------------------------
     # Session plumbing

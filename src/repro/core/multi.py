@@ -262,26 +262,6 @@ class MultiQueryEngine:
             self, sinks=sinks, binary=binary, delivery=delivery
         )
 
-    # ------------------------------------------------------------------
-    # One-shot entry point (delegates to repro.api)
-    # ------------------------------------------------------------------
-    def _api_run(
-        self, source, *, sinks=None, binary=False, measure_memory=False
-    ) -> MultiQueryRun:
-        """Delegate a one-shot run to the unified dataflow API."""
-        from repro import api
-
-        run = api.Engine._wrap_multi(self).run(
-            source, sinks=sinks, binary=binary, measure_memory=measure_memory
-        )
-        return MultiQueryRun(
-            labels=run.labels,
-            outputs=run.outputs,
-            stats=[result.stats for result in run.results],
-            scan_stats=run.scan_stats,
-            compilations=[result.compilation for result in run.results],
-        )
-
 
 class MultiQuerySession:
     """One shared-scan filtering run of N queries over one document.

@@ -218,25 +218,6 @@ class SmpPrefilter:
         """
         return FilterSession(self, sink=sink, binary=binary, delivery=delivery)
 
-    def _api_run(
-        self, source, *, sink=None, binary=False, measure_memory=False
-    ) -> FilterRun:
-        """Delegate a one-shot run to the unified dataflow API."""
-        from repro import api
-
-        engine = api.Engine(api.Query.from_plan(self))
-        run = engine.run(
-            source,
-            sinks=None if sink is None else [sink],
-            binary=binary,
-            measure_memory=measure_memory,
-        )
-        return FilterRun(
-            output=run.single.output,
-            stats=run.single.stats,
-            compilation=self.compilation,
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -784,9 +784,13 @@ class RuntimeStream(_FilterStreamBase):
         fed.  Token-boundary snapshots (phase ``TOKEN``) restore into any
         delivery; snapshots suspended inside the C kernel or the pure
         loop's search/verify/tag/quote phases require the capturing
-        delivery.  Legacy ``"pertoken"`` snapshots were published only at
-        token boundaries and suspended frontier searches, which the pure
-        loop resumes through the same ``find_chunk`` contract.
+        delivery.  But the loop searches on from each completed token's
+        ``>``, so only snapshots before the first byte or after acceptance
+        are at ``TOKEN``: a mid-document ``"accel"`` snapshot resumes only
+        where the C extension is built.  Legacy ``"pertoken"`` snapshots were
+        published only at token boundaries and suspended frontier
+        searches, which the pure loop resumes through the same
+        ``find_chunk`` contract.
         """
         if snapshot.get("kind") != "stream":
             raise CheckpointError("snapshot is not a runtime-stream checkpoint")
@@ -803,9 +807,11 @@ class RuntimeStream(_FilterStreamBase):
                 and self._delivery == "batched"
             )
             if not portable_search:
+                needs = (" (this needs the built repro._accel extension, "
+                         "without REPRO_PURE=1)") if delivery == "accel" else ""
                 raise CheckpointError(
                     f"checkpoint was captured mid-token under delivery "
-                    f"{delivery!r}; resume with the same delivery"
+                    f"{delivery!r}; resume with the same delivery{needs}"
                 )
         self._import_common(snapshot)
         self._window.restore(snapshot["window"])

@@ -24,9 +24,8 @@ and a UTF-8 continuation byte can never start one -- but any place that
 
 * :class:`Utf8ChunkAligner` re-aligns a byte-chunk stream so every emitted
   chunk ends on a code-point boundary (it carries the trailing partial
-  sequence into the next chunk).  Used to feed ``str`` consumers (the
-  incremental tokenizer) from byte sources without ever splitting a
-  character.
+  sequence into the next chunk).  Used to feed ``str`` consumers from byte
+  sources without ever splitting a character.
 * :class:`Utf8SlidingDecoder` wraps an incremental UTF-8 decoder for the
   *output* side: the filter runtimes emit raw byte slices of the document,
   and the text-mode API decodes exactly those emitted slices -- the only
@@ -714,8 +713,8 @@ def decode_chunks(chunks: Iterable[bytes]) -> Iterator[str]:
 
     The boundary handling never splits a character: each emitted ``str``
     chunk corresponds to the decodable prefix available so far.  This is
-    the compatibility bridge from byte sources to ``str``-consuming layers
-    (the incremental tokenizer); the filter hot path never uses it.
+    the compatibility bridge from byte sources to ``str``-consuming
+    callers; the filter hot path never uses it.
     """
     decoder = Utf8SlidingDecoder()
     for chunk in chunks:

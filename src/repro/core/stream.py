@@ -18,13 +18,13 @@ The cursor is *polymorphic over the chunk type*: it holds ``str`` chunks or
 ``bytes``-like chunks (``bytes``, ``bytearray``, ``mmap``) with the same
 API, adopting the type of the first appended chunk.  The byte-native SMP
 runtime always feeds it ``bytes`` (see :mod:`repro.core.sources` for the
-input subsystem); the incremental tokenizer keeps feeding ``str``.  For a
+input subsystem); ``str`` chunks are still accepted.  For a
 binary cursor :meth:`ChunkCursor.char` returns the byte *value* (an ``int``,
 like ``bytes`` indexing does) and :meth:`ChunkCursor.slice` returns
 ``bytes``.
 
 Everything downstream (the resumable matchers, :class:`~repro.core.runtime.
-RuntimeStream`, the incremental tokenizer) speaks absolute offsets so that
+RuntimeStream`) speaks absolute offsets so that
 positions keep their meaning across chunk boundaries and discards.
 
 Cost model

@@ -4,14 +4,16 @@ The streaming XPath evaluator (SPEX analogue) and the token-based reference
 projector both consume documents as SAX events.  The handler interface is a
 small subset of the classical SAX ContentHandler: element start/end and
 character data, which are exactly the token kinds the paper's formal
-development uses.
+development uses.  Events are driven from a whole document string
+(:func:`parse_with_handler`) or from an existing token stream
+(:func:`drive_handler`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.xml.tokenizer import TokenizerSession, XmlTokenizer
+from repro.xml.tokenizer import XmlTokenizer
 from repro.xml.tokens import Token, TokenKind
 
 
@@ -67,43 +69,6 @@ def drive_handler(tokens: Iterable[Token], handler: SaxHandler) -> None:
 def parse_with_handler(text: str, handler: SaxHandler) -> None:
     """Tokenize ``text`` and stream the events into ``handler``."""
     drive_handler(XmlTokenizer(text).tokens(), handler)
-
-
-class SaxSession:
-    """Incremental SAX driver: feed text chunks, receive events as they
-    complete.
-
-    Wraps a :class:`~repro.xml.tokenizer.TokenizerSession`, so memory use is
-    bounded by the largest single token rather than the document.  The event
-    sequence is identical to :func:`parse_with_handler` over the
-    concatenated input; this is the piece that lets the SMP prefilter's
-    incremental output flow straight into SAX consumers (e.g. the streaming
-    XPath engine) without an intermediate whole-document string.
-    """
-
-    def __init__(self, handler: SaxHandler) -> None:
-        self.handler = handler
-        self._tokens = TokenizerSession()
-        handler.start_document()
-
-    def feed(self, chunk: str) -> None:
-        """Tokenize ``chunk`` and dispatch every completed event."""
-        for token in self._tokens.feed(chunk):
-            dispatch_token(token, self.handler)
-
-    def finish(self) -> None:
-        """Flush the final events and deliver ``end_document``."""
-        for token in self._tokens.finish():
-            dispatch_token(token, self.handler)
-        self.handler.end_document()
-
-
-def parse_chunks(chunks: Iterable[str], handler: SaxHandler) -> None:
-    """Stream a chunked document into ``handler`` without concatenating it."""
-    session = SaxSession(handler)
-    for chunk in chunks:
-        session.feed(chunk)
-    session.finish()
 
 
 class EventCollector(SaxHandler):

@@ -1,9 +1,10 @@
-"""Streaming XML tokenizer (the SAX-parser baseline of the paper).
+"""XML tokenizer (the SAX-parser baseline of the paper).
 
-The tokenizer plays the role Xerces plays in Figure 7(c): it turns the input
-into a stream of tokens by inspecting *every* character.  It is deliberately
-written as a single forward scan with no skipping so that comparing it with
-the SMP runtime reproduces the paper's claim that "prefiltering systems that
+The tokenizer plays the role Xerces plays in Figure 7(c): it turns a
+document held in one string into a lazily yielded stream of tokens by
+inspecting *every* character.  It is deliberately written as a single
+forward scan with no skipping so that comparing it with the SMP runtime
+reproduces the paper's claim that "prefiltering systems that
 rely on a tokenization of their input cannot compete" with string-matching
 based prefiltering.
 
@@ -17,10 +18,8 @@ token kinds.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from repro.accel import load_accel
 from repro.errors import XmlSyntaxError
 from repro.xml.escape import is_name_char, is_name_start_char
 from repro.xml.tokens import Token, TokenKind
@@ -54,7 +53,7 @@ class TokenizerStatistics:
 def _register_token(
     token: Token, open_elements: list[str], seen_root: bool
 ) -> bool:
-    """Well-formedness bookkeeping shared by the batch and session tokenizers.
+    """Well-formedness bookkeeping for one token of :meth:`XmlTokenizer.tokens`.
 
     Maintains the ``open_elements`` stack in place and returns the updated
     ``seen_root`` flag; raises :class:`XmlSyntaxError` on structural errors.
@@ -98,14 +97,13 @@ class XmlTokenizer:
     ----------
     text:
         The document text.
-    track_positions:
-        When True (default) each token records its source offsets.
+
+    Each token records its source offsets.
     """
 
-    def __init__(self, text: str, track_positions: bool = True) -> None:
+    def __init__(self, text: str) -> None:
         self._text = text
         self._length = len(text)
-        self._track_positions = track_positions
         self.stats = TokenizerStatistics()
 
     # ------------------------------------------------------------------
@@ -175,8 +173,8 @@ class XmlTokenizer:
             kind=kind,
             name=target,
             text=rest,
-            start=position if self._track_positions else 0,
-            end=end + 2 if self._track_positions else 0,
+            start=position,
+            end=end + 2,
         )
         return token, end + 2
 
@@ -188,8 +186,8 @@ class XmlTokenizer:
         token = Token(
             kind=TokenKind.COMMENT,
             text=text[position + 4:end],
-            start=position if self._track_positions else 0,
-            end=end + 3 if self._track_positions else 0,
+            start=position,
+            end=end + 3,
         )
         return token, end + 3
 
@@ -201,8 +199,8 @@ class XmlTokenizer:
         token = Token(
             kind=TokenKind.CDATA,
             text=text[position + 9:end],
-            start=position if self._track_positions else 0,
-            end=end + 3 if self._track_positions else 0,
+            start=position,
+            end=end + 3,
         )
         return token, end + 3
 
@@ -233,8 +231,8 @@ class XmlTokenizer:
                 token = Token(
                     kind=TokenKind.DOCTYPE,
                     text=text[position + len("<!DOCTYPE"):gt].strip(),
-                    start=position if self._track_positions else 0,
-                    end=gt + 1 if self._track_positions else 0,
+                    start=position,
+                    end=gt + 1,
                 )
                 return token, gt + 1
             cursor = gt + 1  # a '>' inside the internal subset
@@ -253,8 +251,8 @@ class XmlTokenizer:
         token = Token(
             kind=TokenKind.END_TAG,
             name=name,
-            start=position if self._track_positions else 0,
-            end=cursor + 1 if self._track_positions else 0,
+            start=position,
+            end=cursor + 1,
         )
         return token, cursor + 1
 
@@ -277,8 +275,8 @@ class XmlTokenizer:
                     kind=TokenKind.START_TAG,
                     name=name,
                     attributes=tuple(attributes),
-                    start=start if self._track_positions else 0,
-                    end=cursor + 1 if self._track_positions else 0,
+                    start=start,
+                    end=cursor + 1,
                 )
                 return token, cursor + 1
             if character == "/":
@@ -288,8 +286,8 @@ class XmlTokenizer:
                     kind=TokenKind.EMPTY_TAG,
                     name=name,
                     attributes=tuple(attributes),
-                    start=start if self._track_positions else 0,
-                    end=cursor + 2 if self._track_positions else 0,
+                    start=start,
+                    end=cursor + 2,
                 )
                 return token, cursor + 2
             attribute_start = cursor
@@ -345,8 +343,8 @@ class XmlTokenizer:
         token = Token(
             kind=TokenKind.TEXT,
             text=content,
-            start=position if self._track_positions else 0,
-            end=end if self._track_positions else 0,
+            start=position,
+            end=end,
         )
         return token, end
 
@@ -363,278 +361,3 @@ def structural_tokens(text: str) -> list[Token]:
     over (Section III).
     """
     return [token for token in XmlTokenizer(text).tokens() if token.is_structural]
-
-
-class TokenizerSession:
-    """Incremental tokenizer: feed chunks, collect tokens as they complete.
-
-    The session buffers only the current incomplete token (bounded by the
-    largest single token of the document, e.g. one text node or one tag with
-    its attributes), so tokenizing a chunked stream runs in O(chunk + token)
-    memory.  The emitted token sequence, the well-formedness checks and the
-    error messages are identical to :class:`XmlTokenizer` over the
-    concatenated input; token offsets are absolute stream offsets.
-    """
-
-    def __init__(self, track_positions: bool = True) -> None:
-        self._buffer = ""
-        self._base = 0              # absolute offset of buffer[0]
-        self._fed = 0
-        self._eof = False
-        self._finished = False
-        self._open_elements: list[str] = []
-        self._seen_root = False
-        self._track_positions = track_positions
-        self._scratch = XmlTokenizer("", track_positions)
-        # Resumable completeness-scan state for the current head token.
-        self._scan = 0              # local offset the delimiter scan reached
-        self._doctype_depth = 0     # bracket depth inside <!DOCTYPE ... >
-        self._quote = ""            # open quote character inside a tag
-        # Optional C boundary kernel: one vectorized pass per fed window
-        # finds how far the buffer holds only complete tokens, so the
-        # drain loop never re-scans per token in Python (latin-1 buffers
-        # only; the kernel declines wider text and the loop takes over).
-        accel = load_accel()
-        self._boundary = (
-            getattr(accel, "scan_str_tokens", None)
-            if accel is not None else None
-        )
-        self.stats = TokenizerStatistics()
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def feed(self, chunk: str) -> list[Token]:
-        """Buffer ``chunk`` and return the tokens completed by it."""
-        if self._finished:
-            raise XmlSyntaxError("cannot feed a finished tokenizer session")
-        self._fed += len(chunk)
-        self._buffer += chunk
-        return self._drain()
-
-    def finish(self) -> list[Token]:
-        """Signal end of input and return the remaining tokens.
-
-        Raises :class:`XmlSyntaxError` when the stream ends inside a token
-        or with unclosed elements, with the same messages as the batch
-        tokenizer.
-        """
-        if self._finished:
-            raise XmlSyntaxError("tokenizer session is already finished")
-        self._eof = True
-        tokens = self._drain()
-        self._finished = True
-        if self._open_elements:
-            raise XmlSyntaxError(
-                "unexpected end of document; unclosed element "
-                f"<{self._open_elements[-1]}>",
-                self._fed,
-            )
-        self.stats.characters_read = self._fed
-        return tokens
-
-    # ------------------------------------------------------------------
-    # Extraction
-    # ------------------------------------------------------------------
-    def _drain(self) -> list[Token]:
-        # Tokens are extracted at a moving offset and the buffer is sliced
-        # once at the end, so a chunk full of small tokens drains in linear
-        # rather than quadratic time.
-        tokens: list[Token] = []
-        offset = 0
-        boundary = self._boundary
-        if boundary is not None and self._buffer:
-            result = boundary(
-                self._buffer, self._eof, self._scan, self._doctype_depth,
-                ord(self._quote) if self._quote else 0,
-            )
-            if result is not None:
-                # One C pass found the complete-token frontier (and the
-                # resume state of the incomplete tail): the readers below
-                # run without any per-token completeness re-scan.
-                complete_until, scan, depth, quote = result
-                while offset < complete_until:
-                    consumed = self._read_at(offset, tokens)
-                    if consumed <= 0:
-                        break
-                    offset += consumed
-                if offset:
-                    self._buffer = self._buffer[offset:]
-                    self._base += offset
-                self._scan = scan
-                self._doctype_depth = depth
-                self._quote = chr(quote) if quote else ""
-                return tokens
-        while True:
-            consumed = self._extract_one(offset, tokens)
-            if consumed == 0:
-                break
-            offset += consumed
-        if offset:
-            self._buffer = self._buffer[offset:]
-            self._base += offset
-        return tokens
-
-    def _extract_one(self, offset: int, tokens: list[Token]) -> int:
-        """Extract the token starting at ``offset``; returns chars consumed.
-
-        A return of 0 means the token (or the decision which construct it
-        is) needs more input.
-        """
-        buffer = self._buffer
-        length = len(buffer)
-        if offset >= length:
-            return 0
-        if buffer[offset] == "<":
-            if not self._eof and self._markup_end(buffer, offset) < 0:
-                return 0
-        else:
-            lt = buffer.find("<", offset + self._scan)
-            if lt < 0 and not self._eof:
-                self._scan = length - offset
-                return 0
-        consumed = self._read_at(offset, tokens)
-        self._scan = 0
-        self._doctype_depth = 0
-        self._quote = ""
-        return consumed
-
-    def _read_at(self, offset: int, tokens: list[Token]) -> int:
-        """Run the batch reader on the complete token at ``offset``.
-
-        The caller has already decided the token is complete (or that end
-        of input makes the reader's own error the right outcome); this
-        performs the read, the error/offset rebasing and the
-        well-formedness bookkeeping, and returns the characters consumed.
-        """
-        buffer = self._buffer
-        reader = (
-            self._scratch._read_markup
-            if buffer[offset] == "<"
-            else self._scratch._read_text
-        )
-        self._scratch._text = buffer
-        self._scratch._length = len(buffer)
-        try:
-            token, end = reader(offset)
-        except XmlSyntaxError as error:
-            if error.position is not None and self._base:
-                message = str(error).rsplit(" (at offset ", 1)[0]
-                raise XmlSyntaxError(message, error.position + self._base) from None
-            raise
-        if token is not None:
-            if self._track_positions and self._base:
-                token = replace(
-                    token, start=token.start + self._base, end=token.end + self._base
-                )
-            self._seen_root = _register_token(
-                token, self._open_elements, self._seen_root
-            )
-            self.stats.tokens_emitted += 1
-            tokens.append(token)
-        return end - offset
-
-    def _markup_end(self, buffer: str, offset: int) -> int:
-        """End offset of the markup construct at ``buffer[offset]``, or -1.
-
-        Advances the resumable scan state (kept relative to ``offset``) so
-        repeated calls never re-scan already inspected characters.  A return
-        of -1 means the construct (or the decision which construct it is)
-        needs more input; any other value means the batch reader can consume
-        it now -- including malformed declarations, which it reports with
-        the batch error.
-        """
-        length = len(buffer)
-        if length - offset < 2:
-            return -1
-        second = buffer[offset + 1]
-        if second == "?":
-            found = buffer.find("?>", offset + max(self._scan, 2))
-            if found < 0:
-                self._scan = max(2, length - offset - 1)
-                return -1
-            return found + 2
-        if second == "!":
-            for prefix, terminator, body_start in (
-                ("<!--", "-->", 4),
-                ("<![CDATA[", "]]>", 9),
-            ):
-                if buffer.startswith(prefix, offset):
-                    found = buffer.find(terminator, offset + max(self._scan, body_start))
-                    if found < 0:
-                        self._scan = max(
-                            body_start, length - offset - len(terminator) + 1
-                        )
-                        return -1
-                    return found + len(terminator)
-                if prefix.startswith(buffer[offset:offset + len(prefix)]):
-                    return -1  # still ambiguous: wait for the full prefix
-            if buffer.startswith("<!DOCTYPE", offset):
-                # Same vectorized bracket-depth scan as the batch reader,
-                # with the depth carried across suspensions.
-                cursor = offset + max(self._scan, 9)
-                depth = self._doctype_depth
-                while True:
-                    gt = buffer.find(">", cursor)
-                    limit = length if gt < 0 else gt
-                    lb = buffer.find("[", cursor, limit)
-                    rb = buffer.find("]", cursor, limit)
-                    if lb >= 0 and (rb < 0 or lb < rb):
-                        depth += 1
-                        cursor = lb + 1
-                        continue
-                    if rb >= 0:
-                        depth -= 1
-                        cursor = rb + 1
-                        continue
-                    if gt >= 0 and depth <= 0:
-                        self._doctype_depth = depth
-                        return gt + 1
-                    if gt < 0:
-                        self._doctype_depth = depth
-                        self._scan = length - offset
-                        return -1
-                    cursor = gt + 1  # a '>' inside the internal subset
-            if "<!DOCTYPE".startswith(buffer[offset:offset + 9]):
-                return -1
-            return length  # unrecognised declaration: the reader raises
-        # A start or end tag: scan for '>' outside quoted attribute values.
-        # Vectorized like the runtime's end-of-tag scan: candidate '>' and
-        # quote positions come from C-level ``find``, and an opened quote is
-        # recorded even when no '>' is in the window so the resumed scan
-        # skips a quoted '>' in the next chunk correctly.
-        cursor = offset + max(self._scan, 1)
-        while True:
-            if self._quote:
-                closing = buffer.find(self._quote, cursor)
-                if closing < 0:
-                    self._scan = length - offset
-                    return -1
-                self._quote = ""
-                cursor = closing + 1
-            gt = buffer.find(">", cursor)
-            limit = length if gt < 0 else gt
-            dq = buffer.find('"', cursor, limit)
-            sq = buffer.find("'", cursor, limit)
-            if dq < 0 and sq < 0:
-                if gt < 0:
-                    self._scan = length - offset
-                    return -1
-                return gt + 1
-            if dq >= 0 and (sq < 0 or dq < sq):
-                self._quote, cursor = '"', dq + 1
-            else:
-                self._quote, cursor = "'", sq + 1
-
-
-def iter_tokens(chunks: Iterable[str]) -> Iterator[Token]:
-    """Tokenize a document provided as an iterable of string chunks.
-
-    The chunks flow through a :class:`TokenizerSession`, so the document is
-    never materialised as a whole; the streaming engines and the benchmarks
-    share this entry point for chunked inputs.
-    """
-    session = TokenizerSession()
-    for chunk in chunks:
-        yield from session.feed(chunk)
-    yield from session.finish()

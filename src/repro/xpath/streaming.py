@@ -12,17 +12,18 @@ evaluator, and matching results are emitted.
 The engine processes every SAX event, i.e. it tokenizes its complete input -
 that is precisely the property the paper exploits when it shows that
 pipelining SMP prefiltering in front of such an engine lifts its throughput
-(Figure 7(b)).
+(Figure 7(b)).  :meth:`StreamingXPathEngine.evaluate` takes one document
+string; in the Figure 7(b) pairing that string is the SMP projection, and
+``tests/integration/test_smp_vs_reference.py`` (like the Figure 7(b) bench)
+checks that the answers on the projection equal those on the original.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from typing import Iterable
+from dataclasses import dataclass
 
 from repro.errors import QueryError
-from repro.xml.sax import SaxHandler, SaxSession, parse_with_handler
+from repro.xml.sax import SaxHandler, parse_with_handler
 from repro.xml.tree import XmlElement
 from repro.xpath.ast import LocationPath, NodeTestKind, Step, XPathAxis
 from repro.xpath.evaluator import ResultItem, evaluate_predicate, evaluate_relative
@@ -161,39 +162,6 @@ class _StreamingEvaluator(SaxHandler):
             self.stats.matches += 1
 
 
-class XPathStreamSession:
-    """One incremental evaluation of a query over a chunked document.
-
-    Text chunks go in through :meth:`feed` (they may split tags and keywords
-    arbitrarily); :meth:`finish` returns the result items.  Memory use is
-    bounded by the largest single token plus the buffered candidate
-    subtrees, exactly as in the one-shot evaluation.
-    """
-
-    def __init__(self, path: LocationPath) -> None:
-        self._evaluator = _StreamingEvaluator(path)
-        self._sax = SaxSession(self._evaluator)
-
-    def feed(self, chunk: str) -> None:
-        """Process one chunk of document text."""
-        self._sax.feed(chunk)
-
-    def finish(self) -> list[ResultItem]:
-        """Signal end of input and return the matched result items."""
-        self._sax.finish()
-        return self._evaluator.results
-
-    @property
-    def results(self) -> list[ResultItem]:
-        """The result items matched so far."""
-        return self._evaluator.results
-
-    @property
-    def stats(self) -> StreamingStatistics:
-        """Statistics of this evaluation."""
-        return self._evaluator.stats
-
-
 class StreamingXPathEngine:
     """Evaluate one XPath query over a document stream."""
 
@@ -206,19 +174,6 @@ class StreamingXPathEngine:
         parse_with_handler(text, handler)
         self._last_stats = handler.stats
         return handler.results
-
-    def session(self) -> XPathStreamSession:
-        """Open an incremental evaluation session (``feed``/``finish``)."""
-        return XPathStreamSession(self.path)
-
-    def evaluate_chunks(self, chunks: Iterable[str]) -> list[ResultItem]:
-        """Evaluate the query over a chunked document without joining it."""
-        session = self.session()
-        for chunk in chunks:
-            session.feed(chunk)
-        results = session.finish()
-        self._last_stats = session.stats
-        return results
 
     @property
     def last_stats(self) -> StreamingStatistics:

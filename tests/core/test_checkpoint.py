@@ -214,8 +214,10 @@ class TestSessionResume:
             plan, captured, adversarial_chunks(data, "midtag"), 1
         )
         target = plan.session(binary=True, delivery=restored)
-        with pytest.raises(CheckpointError, match="mid-token"):
+        with pytest.raises(CheckpointError, match="mid-token") as refused:
             target.import_state(snapshot)
+        if captured == "accel":
+            assert "needs the built repro._accel extension" in str(refused.value)
 
     def test_api_session_checkpoint_and_engine_resume(
         self, tmp_path, medline_engine, medline_document_small,

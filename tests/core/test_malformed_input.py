@@ -243,37 +243,3 @@ class TestTokenizerPositions:
         except XmlSyntaxError as error:
             if error.position is not None:
                 assert 0 <= error.position <= len(text)
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10**6),
-        corruption=st.sampled_from(("flip", "truncate", "garbage")),
-    )
-    def test_streaming_tokenizer_agrees_with_one_shot(
-        self, base_document, seed, corruption
-    ):
-        from repro.xml.tokenizer import TokenizerSession, tokenize
-
-        damaged = _corrupt(base_document, corruption, seed)
-        text = damaged.decode("utf-8", "replace")
-
-        def one_shot():
-            try:
-                tokenize(text)
-                return "ok"
-            except XmlSyntaxError:
-                return "err"
-
-        def streamed(size):
-            session = TokenizerSession()
-            try:
-                for start in range(0, len(text), size):
-                    session.feed(text[start:start + size])
-                session.finish()
-                return "ok"
-            except XmlSyntaxError:
-                return "err"
-
-        expected = one_shot()
-        for size in (1, 63, 4096):
-            assert streamed(size) == expected, (corruption, seed, size)

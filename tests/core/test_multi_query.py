@@ -17,7 +17,6 @@ import pytest
 from repro import MultiQueryEngine, SmpPrefilter
 from repro.core.stream import iter_chunks
 from repro.errors import QueryError, RuntimeFilterError
-from repro.pipeline import XPathPipeline
 from repro.workloads import load_dataset
 from repro.workloads.medline import MEDLINE_QUERIES, MEDLINE_QUERY_ORDER, medline_dtd
 from repro.workloads.xmark import XMARK_QUERIES, xmark_dtd
@@ -172,22 +171,3 @@ class TestEngineBehaviour:
         session.feed("<MedlineCitationSet><bogus>")
         with pytest.raises(RuntimeFilterError):
             session.finish()
-
-
-class TestMultiPipeline:
-    def test_matches_single_query_pipelines(self, medline_document):
-        dtd = medline_dtd()
-        queries = [MEDLINE_QUERIES[name].xpath for name in ("M2", "M5")]
-        multi = XPathPipeline.multi(dtd, queries, backend="native")
-        outcome = multi.evaluate(medline_document, chunk_size=8192)
-        assert outcome.scan_stats.input_size == len(medline_document)
-        for query, single_outcome in zip(queries, outcome.outcomes):
-            single = XPathPipeline(dtd, query, backend="native")
-            expected = single.evaluate(medline_document, chunk_size=8192)
-            actual_items = [item.serialize() for item in single_outcome.results]
-            expected_items = [item.serialize() for item in expected.results]
-            assert actual_items == expected_items
-            assert (
-                single_outcome.filter_stats.output_size
-                == expected.filter_stats.output_size
-            )

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro import SmpPrefilter
+from repro import SmpPrefilter, api
 from repro.projection import ReferenceProjector
-from repro.workloads.medline import MEDLINE_QUERIES, MEDLINE_QUERY_ORDER
+from repro.workloads.medline import (
+    MEDLINE_QUERIES,
+    MEDLINE_QUERY_ORDER,
+    generate_medline_document,
+)
 from repro.workloads.xmark import XMARK_QUERIES, XMARK_QUERY_ORDER
 from repro.xml import parse_document
-from repro.xpath import evaluate_xpath, string_value
+from repro.xpath import StreamingXPathEngine, evaluate_xpath, string_value
 
 
 def _project_both(dtd, paths, document):
@@ -66,7 +70,8 @@ def test_medline_query_results_preserved_by_projection(
     query_name, medline_dtd_fixture, medline_document_small,
 ):
     """Projection-safety in action: evaluating the Table II XPath query on
-    the projected document yields the same values as on the original."""
+    the projected document yields the same values as on the original, both
+    in memory and with the streaming engine of Figure 7(b)."""
     spec = MEDLINE_QUERIES[query_name]
     prefilter = SmpPrefilter.compile(
         medline_dtd_fixture, spec.parsed_paths(), add_default_paths=False,
@@ -77,6 +82,33 @@ def test_medline_query_results_preserved_by_projection(
     assert [string_value(item) for item in original_results] == [
         string_value(item) for item in projected_results
     ]
+    engine = StreamingXPathEngine(spec.query)
+    assert _serialized(engine.evaluate(projected)) == _serialized(
+        engine.evaluate(medline_document_small)
+    )
+
+
+def test_shared_scan_projections_preserve_query_results(medline_dtd_fixture):
+    """One shared scan for M2 and M5: each query's own projection answers
+    its query as the original document does."""
+    # Seed 7 gives both queries answers, so the comparison is not vacuous.
+    document = generate_medline_document(citations=60, seed=7)
+    specs = [MEDLINE_QUERIES[name] for name in ("M2", "M5")]
+    run = api.Engine(
+        [api.Query.from_spec(medline_dtd_fixture, spec) for spec in specs],
+        mode="shared",
+    ).run(api.Source.of(document, chunk_size=4096))
+    assert len(run.outputs) == len(specs)
+    for spec, projected in zip(specs, run.outputs):
+        engine = StreamingXPathEngine(spec.query)
+        expected = _serialized(engine.evaluate(document))
+        assert expected
+        assert _serialized(engine.evaluate(projected)) == expected
+
+
+def _serialized(items):
+    return [item.serialize() if hasattr(item, "serialize") else str(item)
+            for item in items]
 
 
 def test_m1_projects_to_structure_only(medline_dtd_fixture, medline_document_small):
